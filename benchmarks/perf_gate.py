@@ -6,9 +6,9 @@ filtering under several thresholds) and ``test_bench_figure10`` (Q24
 filtering), plus a **verification workload** (full figure10 searches —
 filter *and* verify), twice each:
 
-* once with every optimization disabled (``repro.perf.optimizations_disabled``
-  — no memo caches, hash-set candidate intersection, per-entry range scans,
-  and the legacy sequential verifier), and
+* once on the reference path of ``repro.reference`` (``ReferenceSearch`` —
+  no memo caches, hash-set candidate intersection, per-entry range scans,
+  and the legacy sequential verifier over the recursive search), and
 * once with the optimized paths on (structure-code / query-fragment /
   range-query / exact-distance caches, big-int bitset intersection,
   vectorized scans, and the bounded verifier of ``repro.search.verify``).
@@ -55,11 +55,11 @@ post-storm query pass are byte-identical to a *serial* replay of the same
 mutation batches on a control engine.
 
 A **kernel workload** (PR 10) protects the array superposition kernel:
-``verify_kernel`` answers the figure10 query set cold — every memo cache
-disabled on both sides, so each search pays its full verification cost —
-once on the recursive reference search (all optimizations off) and once on
-the array kernel (``optimizations_disabled("caches")``, leaving the kernel
-and the bounded verifier on).  Answer ids and exact distances must be
+``verify_kernel`` answers the figure10 query set cold — no memo cache
+serves either side, so each search pays its full verification cost —
+once on the recursive reference search (``ReferenceSearch``) and once on
+the production path with the array kernel and the bounded verifier, every
+cache cleared before each search.  Answer ids and exact distances must be
 byte-identical, a 4-shard engine running the kernel must answer
 byte-identically too, and the verify-phase speedup must meet
 ``--min-kernel-speedup`` (default 3×).  The per-path
@@ -127,7 +127,9 @@ from repro.experiments import build_environment  # noqa: E402
 from repro.index.fragment_index import FragmentIndex  # noqa: E402
 from repro.index.persistence import index_to_dict  # noqa: E402
 from repro.index.sharded import ShardedFragmentIndex  # noqa: E402
-from repro.perf import GLOBAL_COUNTERS, optimizations_disabled  # noqa: E402
+from repro.index.sharded import ShardDatabaseView, merge_search_results  # noqa: E402
+from repro.perf import GLOBAL_COUNTERS  # noqa: E402
+from repro.reference import ReferenceSearch  # noqa: E402
 from repro.search.pis import PISearch  # noqa: E402
 from repro.serve import QueryServer, ServeOverloadedError  # noqa: E402
 
@@ -180,33 +182,39 @@ def _clear_caches(environment) -> None:
     structure_code_cache().clear()
 
 
-def _run_filters(environment, queries, sigmas, rounds):
-    """Run the PIS filtering phase over the workload; return (seconds, candidates)."""
-    pis = PISearch(environment.index, environment.database)
+def _reference(environment):
+    """The single-pass, cache-free reference strategy over the environment."""
+    return ReferenceSearch(environment.database, environment.index)
+
+
+def _run_filters(strategy, queries, sigmas, rounds):
+    """Run a strategy's filtering phase over the workload; return (seconds, candidates)."""
     candidates = []
     start = time.perf_counter()
     for _ in range(rounds):
         for query in queries:
             for sigma in sigmas:
-                candidates.append(pis.candidates(query, sigma))
+                candidates.append(strategy.candidates(query, sigma))
     return time.perf_counter() - start, candidates
 
 
-def _run_searches(environment, queries, sigmas, rounds):
-    """Run full PIS searches (filter + verify) over the workload.
+def _run_searches(strategy, queries, sigmas, rounds, before_each=None):
+    """Run a strategy's full searches (filter + verify) over the workload.
 
-    Returns ``(verify_seconds, total_seconds, answers)`` where ``answers``
-    is a JSON-comparable payload of every search's answer ids and exact
-    distances, in execution order.
+    ``before_each`` (if given) runs before every search, e.g. to clear the
+    caches.  Returns ``(verify_seconds, total_seconds, answers)`` where
+    ``answers`` is a JSON-comparable payload of every search's answer ids
+    and exact distances, in execution order.
     """
-    pis = PISearch(environment.index, environment.database)
     answers = []
     verify_seconds = 0.0
     start = time.perf_counter()
     for _ in range(rounds):
         for query in queries:
             for sigma in sigmas:
-                result = pis.search(query, sigma)
+                if before_each is not None:
+                    before_each()
+                result = strategy.search(query, sigma)
                 verify_seconds += result.verify_seconds
                 answers.append(
                     [
@@ -233,15 +241,14 @@ def run_verify_workload(environment, name, query_edges, sigmas, rounds):
     )
 
     _clear_caches(environment)
-    with optimizations_disabled():
-        legacy_verify, legacy_total, legacy_answers = _run_searches(
-            environment, queries, sigmas, rounds
-        )
+    legacy_verify, legacy_total, legacy_answers = _run_searches(
+        _reference(environment), queries, sigmas, rounds
+    )
 
     _clear_caches(environment)
     before = GLOBAL_COUNTERS.snapshot()
     optimized_verify, optimized_total, optimized_answers = _run_searches(
-        environment, queries, sigmas, rounds
+        PISearch(environment.index, environment.database), queries, sigmas, rounds
     )
     counters = GLOBAL_COUNTERS.delta(before)
 
@@ -272,15 +279,16 @@ def run_verify_workload(environment, name, query_edges, sigmas, rounds):
 def run_kernel_workload(environment, name, query_edges, sigmas, rounds, num_shards):
     """Measure the array superposition kernel against the recursive search.
 
-    Unlike :func:`run_verify_workload`, **both** sides run cold: every memo
-    cache is disabled, so each side pays its full branch-and-bound cost on
-    every search and the speedup isolates the kernel (plus the bounded
-    verifier it feeds) instead of cache reuse.
+    Unlike :func:`run_verify_workload`, **both** sides run cold: no memo
+    cache serves either side, so each side pays its full branch-and-bound
+    cost on every search and the speedup isolates the kernel (plus the
+    bounded verifier it feeds) instead of cache reuse.
 
-    * **legacy** — ``optimizations_disabled()``: the recursive reference
-      search under the sequential pre-subsystem verifier.
-    * **kernel** — ``optimizations_disabled("caches")``: the array kernel
-      under the bounded verifier, no distance/range/fragment memo caches.
+    * **legacy** — ``ReferenceSearch``: the recursive reference search
+      under the sequential pre-subsystem verifier.
+    * **kernel** — the production ``PISearch``: the array kernel under the
+      bounded verifier, with the distance/range/fragment/plan caches
+      cleared before every search.
 
     Answer ids and exact distances must be byte-identical, and a 4-shard
     engine running the kernel must scatter-gather to the same answers.
@@ -292,25 +300,28 @@ def run_kernel_workload(environment, name, query_edges, sigmas, rounds, num_shar
     )
 
     _clear_caches(environment)
-    with optimizations_disabled():
-        before = GLOBAL_COUNTERS.snapshot()
-        legacy_verify, legacy_total, legacy_answers = _run_searches(
-            environment, queries, sigmas, rounds
-        )
-        legacy_counters = GLOBAL_COUNTERS.delta(before)
+    before = GLOBAL_COUNTERS.snapshot()
+    legacy_verify, legacy_total, legacy_answers = _run_searches(
+        _reference(environment), queries, sigmas, rounds
+    )
+    legacy_counters = GLOBAL_COUNTERS.delta(before)
 
-    _clear_caches(environment)
-    with optimizations_disabled("caches"):
-        before = GLOBAL_COUNTERS.snapshot()
-        kernel_verify, kernel_total, kernel_answers = _run_searches(
-            environment, queries, sigmas, rounds
-        )
-        kernel_counters = GLOBAL_COUNTERS.delta(before)
+    pis = PISearch(environment.index, environment.database)
+
+    def _cold():
+        _clear_caches(environment)
+        pis.planner.clear_cache()
+
+    before = GLOBAL_COUNTERS.snapshot()
+    kernel_verify, kernel_total, kernel_answers = _run_searches(
+        pis, queries, sigmas, rounds, before_each=_cold
+    )
+    kernel_counters = GLOBAL_COUNTERS.delta(before)
 
     identical = legacy_answers == kernel_answers
 
-    # Sharded byte-identity: the same searches on a 4-shard engine with the
-    # kernel forced on must merge to the identical answer payload.
+    # Sharded byte-identity: the same searches on a 4-shard engine running
+    # the kernel must merge to the identical answer payload.
     sharded_index = ShardedFragmentIndex.build(
         environment.database,
         environment.features,
@@ -320,7 +331,7 @@ def run_kernel_workload(environment, name, query_edges, sigmas, rounds, num_shar
         backend_options=environment.index.backend_options,
     )
     sharded_engine = Engine.from_index(
-        environment.database, sharded_index, executor="serial", kernel="array"
+        environment.database, sharded_index, executor="serial"
     )
     sharded_answers = []
     for _ in range(rounds):
@@ -832,9 +843,9 @@ def run_global_plan_workload(
     the best of three paired cold rounds.  With the
     global planner shipping one plan to every shard task, the 4-shard
     total must stay within ``--max-plan-ratio`` of the single-shard cost;
-    the legacy path — every shard re-planning against its local slice,
-    measured under ``optimizations_disabled("caches")`` on both
-    topologies — is recorded alongside as ``legacy_ratio`` for reference.
+    the legacy path — the cache-free ``ReferenceSearch`` run per shard,
+    every shard filtering against its local slice, on both topologies — is
+    recorded alongside as ``legacy_ratio`` for reference.
     Answers must be byte-identical across topologies on both paths, and a
     warm repeat of the planned sharded batch must hit the plan cache.
     """
@@ -905,15 +916,37 @@ def run_global_plan_workload(
     warm_cache_hits = warm_delta.get("plan.cache_hits", 0.0)
     warm_identical = warm_answers == sharded_answers
 
-    # Legacy reference: per-shard local planning (the pre-PR-9 behaviour),
-    # same cache-free footing on both topologies.
-    with optimizations_disabled("caches"):
-        legacy_single_work, legacy_single_answers = _measure(
-            single_engine, environment.index
-        )
-        legacy_sharded_work, legacy_sharded_answers = _measure(
-            sharded_engine, sharded_index
-        )
+    # Legacy reference: per-shard local filtering (the pre-planner
+    # behaviour), cache-free on both topologies.
+    def _measure_reference(index):
+        shards = getattr(index, "shards", [index])
+        parts = [
+            ReferenceSearch(
+                ShardDatabaseView(environment.database, len(shards), position)
+                if len(shards) > 1
+                else environment.database,
+                shard,
+            )
+            for position, shard in enumerate(shards)
+        ]
+        before = GLOBAL_COUNTERS.snapshot()
+        answers = []
+        for sigma in sigmas:
+            batch = []
+            for query in queries:
+                results = [part.search(query, sigma) for part in parts]
+                batch.append(
+                    merge_search_results(
+                        results,
+                        num_database_graphs=len(environment.database),
+                        num_shards=len(results),
+                    )
+                )
+            answers.extend(_answers_payload(batch))
+        return _filter_work(GLOBAL_COUNTERS.delta(before)), answers
+
+    legacy_single_work, legacy_single_answers = _measure_reference(environment.index)
+    legacy_sharded_work, legacy_sharded_answers = _measure_reference(sharded_index)
     legacy_ratio = legacy_sharded_work / max(legacy_single_work, 1e-9)
     legacy_identical = legacy_single_answers == legacy_sharded_answers
 
@@ -952,15 +985,14 @@ def run_workload(environment, name, query_edges, sigmas, rounds):
     )
 
     _clear_caches(environment)
-    with optimizations_disabled():
-        legacy_seconds, legacy_candidates = _run_filters(
-            environment, queries, sigmas, rounds
-        )
+    legacy_seconds, legacy_candidates = _run_filters(
+        _reference(environment), queries, sigmas, rounds
+    )
 
     _clear_caches(environment)
     before = GLOBAL_COUNTERS.snapshot()
     optimized_seconds, optimized_candidates = _run_filters(
-        environment, queries, sigmas, rounds
+        PISearch(environment.index, environment.database), queries, sigmas, rounds
     )
     counters = GLOBAL_COUNTERS.delta(before)
 

@@ -90,8 +90,6 @@ from .perf import (
     GLOBAL_COUNTERS,
     MemoCache,
     PerfCounters,
-    optimizations_disabled,
-    optimizations_enabled,
 )
 from .exec import (
     available_executors,
@@ -122,7 +120,6 @@ from .mining import (
 from .search import (
     BoundedVerifier,
     ExactTopoPruneSearch,
-    LegacyVerifier,
     NaiveSearch,
     PISearch,
     SearchResult,
@@ -152,8 +149,6 @@ __all__ = [
     "PerfCounters",
     "MemoCache",
     "GLOBAL_COUNTERS",
-    "optimizations_enabled",
-    "optimizations_disabled",
     # registries
     "register_selector",
     "make_selector",
@@ -218,7 +213,6 @@ __all__ = [
     "ExactTopoPruneSearch",
     "SearchResult",
     "Verifier",
-    "LegacyVerifier",
     "BoundedVerifier",
     "greedy_mwis",
     "enhanced_greedy_mwis",

@@ -15,10 +15,9 @@ Subcommands
     Answer SSSD queries against a database + index (or saved engine),
     comparing PIS with the baselines; ``--workers`` batches the queries
     over a worker pool, ``--verify-workers`` parallelizes candidate
-    verification within each query, ``--verifier`` picks the
-    verification implementation (``auto``/``bounded``/``legacy``), and
-    ``--kernel`` picks the superposition search kernel
-    (``auto``/``array``/``legacy`` — byte-identical answers).
+    verification within each query, and ``--verifier`` picks the
+    verification implementation (``auto``/``bounded`` or any registered
+    name).
 ``explain``
     Plan sampled queries without mutating anything and print each plan —
     chosen partition, per-fragment selectivities, and estimated vs.
@@ -199,17 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--verifier",
         default=None,
-        help="candidate verifier registry name (auto, bounded, legacy); "
-        "overrides the engine config",
-    )
-    query.add_argument(
-        "--kernel",
-        choices=("auto", "array", "legacy"),
-        default=None,
-        help="superposition search kernel: 'array' forces the vectorized "
-        "kernel, 'legacy' the recursive reference search, 'auto' follows "
-        "the global optimization flags; answers are byte-identical either "
-        "way (overrides the engine config)",
+        help="candidate verifier registry name (auto, bounded, or any "
+        "registered verifier); overrides the engine config",
     )
     query.add_argument(
         "--compare-naive",
@@ -552,9 +542,6 @@ def _command_query(arguments: argparse.Namespace) -> int:
         # A saved engine carries a verifier choice; unlike --config, the
         # verifier never changes answers, so overriding it is safe.
         engine.config = engine.config.replace(verifier=arguments.verifier)
-    if arguments.kernel is not None:
-        # Same reasoning: both kernels produce byte-identical answers.
-        engine.config = engine.config.replace(kernel=arguments.kernel)
     workload = QueryWorkload(database, seed=arguments.seed)
     queries = workload.sample_queries(arguments.edges, arguments.count)
 

@@ -328,7 +328,7 @@ def structure_code(graph: LabeledGraph) -> CanonicalCode:
 
     This is the hash-table key for structural equivalence classes
     (Definition 4).  Results are memoized on the skeleton's content
-    signature; the cache honours the global ``"caches"`` optimization flag.
+    signature.
     """
     key = skeleton_signature(graph)
     cached = _STRUCTURE_CODE_CACHE.get(key)

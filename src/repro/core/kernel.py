@@ -53,7 +53,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from .graph import LabeledGraph
 from .isomorphism import Embedding, _match_order
 
-try:  # numpy is optional: without it the legacy recursive path is used
+try:  # numpy is optional: without it the recursive search is used
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None

@@ -12,7 +12,13 @@ when ``g ⊄ G``).  The candidate verification step of PIS evaluates exactly
 this quantity — with a threshold so the search can stop as soon as a
 superposition within ``sigma`` is found.
 
-The implementation is a branch-and-bound backtracking search: the partial
+:func:`best_superposition` runs the array kernel of
+:mod:`repro.core.kernel` whenever it can run.  It falls back to
+:func:`recursive_superposition` only when the kernel refuses the input:
+numpy is missing, the target exceeds ``MAX_KERNEL_VERTICES``, or the
+measure has no cost tables.  Both return byte-identical distances.
+
+The recursive search is a branch-and-bound backtracking search: the partial
 superposition cost is accumulated as vertices are mapped (vertex cost when a
 vertex is placed, edge cost when both endpoints of a query edge are placed)
 and a branch is abandoned as soon as the partial cost exceeds the current
@@ -26,7 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..perf import optimizations_enabled
 from .distance import DistanceMeasure
 from .graph import LabeledGraph
 from .isomorphism import Embedding, _match_order
@@ -35,6 +40,7 @@ __all__ = [
     "SuperpositionResult",
     "minimum_superimposed_distance",
     "best_superposition",
+    "recursive_superposition",
     "within_distance",
     "graph_pair_distance",
     "INFINITE_DISTANCE",
@@ -89,7 +95,6 @@ def best_superposition(
     threshold: Optional[float] = None,
     stop_at_threshold: bool = False,
     known_lower_bound: Optional[float] = None,
-    use_kernel: Optional[bool] = None,
 ) -> SuperpositionResult:
     """Find the superposition of ``query`` in ``target`` with minimum cost.
 
@@ -116,13 +121,6 @@ def best_superposition(
         superposition is provably minimal and the returned distance is still
         exact.  Passing a value that is *not* a true lower bound can make
         the result an upper bound instead of the minimum.
-    use_kernel:
-        ``True`` forces the array kernel of :mod:`repro.core.kernel`,
-        ``False`` forces the legacy recursive search, ``None`` (default)
-        follows the global ``"kernel"`` optimization flag.  The kernel is
-        byte-identical in distances; when it cannot run (numpy missing,
-        oversized target, measure without cost tables) the recursive path
-        is used regardless.
 
     Returns
     -------
@@ -139,21 +137,50 @@ def best_superposition(
     ):
         return SuperpositionResult(distance=INFINITE_DISTANCE, embedding=None)
 
-    if use_kernel is None:
-        use_kernel = optimizations_enabled("kernel")
-    if use_kernel:
-        from . import kernel as _kernel  # lazy: kernel imports our result type
+    from . import kernel as _kernel  # lazy: kernel imports our result type
 
-        result = _kernel.kernel_best_superposition(
-            query,
-            target,
-            measure,
-            threshold=threshold,
-            stop_at_threshold=stop_at_threshold,
-            known_lower_bound=known_lower_bound,
-        )
-        if result is not None:
-            return result
+    result = _kernel.kernel_best_superposition(
+        query,
+        target,
+        measure,
+        threshold=threshold,
+        stop_at_threshold=stop_at_threshold,
+        known_lower_bound=known_lower_bound,
+    )
+    if result is not None:
+        return result
+    return recursive_superposition(
+        query,
+        target,
+        measure,
+        threshold=threshold,
+        stop_at_threshold=stop_at_threshold,
+        known_lower_bound=known_lower_bound,
+    )
+
+
+def recursive_superposition(
+    query: LabeledGraph,
+    target: LabeledGraph,
+    measure: DistanceMeasure,
+    threshold: Optional[float] = None,
+    stop_at_threshold: bool = False,
+    known_lower_bound: Optional[float] = None,
+) -> SuperpositionResult:
+    """Recursive branch-and-bound form of :func:`best_superposition`.
+
+    Same parameters and the same distances as :func:`best_superposition`,
+    over plain dict adjacency instead of the kernel's arrays.  It is the
+    fallback for inputs the kernel refuses and the oracle the kernel's
+    tests compare against.
+    """
+    if query.num_vertices == 0:
+        return SuperpositionResult(distance=0.0, embedding=Embedding({}), explored=1)
+    if (
+        query.num_vertices > target.num_vertices
+        or query.num_edges > target.num_edges
+    ):
+        return SuperpositionResult(distance=INFINITE_DISTANCE, embedding=None)
 
     order = _match_order(query)
     position_of = {v: i for i, v in enumerate(order)}
@@ -275,16 +302,13 @@ def minimum_superimposed_distance(
     target: LabeledGraph,
     measure: DistanceMeasure,
     threshold: Optional[float] = None,
-    use_kernel: Optional[bool] = None,
 ) -> float:
     """Return ``d(query, target)`` under ``measure`` (Definition 1).
 
     When ``threshold`` is given the result is exact if it does not exceed
     the threshold; otherwise ``inf`` is returned (sufficient for SSSD).
     """
-    return best_superposition(
-        query, target, measure, threshold=threshold, use_kernel=use_kernel
-    ).distance
+    return best_superposition(query, target, measure, threshold=threshold).distance
 
 
 def within_distance(
@@ -292,16 +316,10 @@ def within_distance(
     target: LabeledGraph,
     measure: DistanceMeasure,
     sigma: float,
-    use_kernel: Optional[bool] = None,
 ) -> bool:
     """Return ``True`` if ``d(query, target) <= sigma`` (verification test)."""
     result = best_superposition(
-        query,
-        target,
-        measure,
-        threshold=sigma,
-        stop_at_threshold=True,
-        use_kernel=use_kernel,
+        query, target, measure, threshold=sigma, stop_at_threshold=True
     )
     return result.distance <= sigma
 
@@ -310,7 +328,6 @@ def graph_pair_distance(
     a: LabeledGraph,
     b: LabeledGraph,
     measure: DistanceMeasure,
-    use_kernel: Optional[bool] = None,
 ) -> float:
     """Distance between two graphs with identical structure, ``d(a, b)``.
 
@@ -320,4 +337,4 @@ def graph_pair_distance(
     """
     if a.num_vertices != b.num_vertices or a.num_edges != b.num_edges:
         return INFINITE_DISTANCE
-    return best_superposition(a, b, measure, use_kernel=use_kernel).distance
+    return best_superposition(a, b, measure).distance

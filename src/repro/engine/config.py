@@ -24,6 +24,10 @@ from ..index.persistence import measure_from_dict, measure_to_dict
 
 __all__ = ["EngineConfig"]
 
+#: keys of removed knobs that saved engine documents may still carry;
+#: :meth:`EngineConfig.from_dict` drops them instead of rejecting the file
+RETIRED_KEYS = frozenset({"kernel"})
+
 
 @dataclass
 class EngineConfig:
@@ -58,7 +62,7 @@ remove_graphs` (see :mod:`repro.index.backends`).  ``None`` keeps each
         Registry name of the candidate verifier
         (:func:`repro.search.verify.make_verifier`): ``"auto"`` (the
         default, resolving to the optimized ``"bounded"`` verifier),
-        ``"bounded"``, ``"legacy"``, or any name registered through
+        ``"bounded"``, or any name registered through
         :func:`repro.search.verify.register_verifier`.
     verify_workers:
         Default worker-pool size for parallel candidate verification
@@ -69,14 +73,6 @@ remove_graphs` (see :mod:`repro.index.backends`).  ``None`` keeps each
         thread pools (the default) are GIL-bound for pure-Python distance
         computation, while ``executor="process"`` verifies candidates in
         worker processes for real CPU parallelism.
-    kernel:
-        Superposition search kernel used during verification: ``"auto"``
-        (the default — use the array kernel of :mod:`repro.core.kernel`
-        whenever the global ``"kernel"`` optimization flag is on and numpy
-        is available), ``"array"`` (always use the array kernel when it
-        can run), or ``"legacy"`` (always use the recursive reference
-        search).  Both kernels return byte-identical distances and
-        answers; the knob exists for benchmarking and fallback.
     shards:
         Number of database shards (default ``1`` = the classic unsharded
         engine).  With ``shards > 1``, :meth:`repro.engine.Engine.build`
@@ -103,9 +99,9 @@ start`); ``0`` disables it even there.  Entries are keyed by query
         (:class:`repro.search.GlobalPlanner`), in plans.  Plans are keyed
         by query content, sigma, the cutoff factor, and the index
         generation, so mutations invalidate without clearing; unlike the
-        result cache the plan cache is always active (planning itself is
-        gated on the ``"caches"`` optimization flag).  ``0`` keeps the
-        plan/execute split but stores nothing.
+        result cache the plan cache is always active.  ``0`` keeps the
+        plan/execute split but stores nothing, so every search plans
+        afresh.
     serve_batch_window_ms:
         Default micro-batching window of :class:`repro.serve.QueryServer`:
         how long the server waits, after one query arrives, for more
@@ -154,7 +150,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
     verify: bool = True
     verifier: str = "auto"
     verify_workers: int = 0
-    kernel: str = "auto"
     shards: int = 1
     executor: str = "thread"
     result_cache_size: int = 1024
@@ -191,11 +186,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
         if not isinstance(self.verifier, str) or not self.verifier:
             raise EngineConfigError(
                 f"verifier must be a non-empty string, got {self.verifier!r}"
-            )
-        if self.kernel not in ("auto", "array", "legacy"):
-            raise EngineConfigError(
-                "kernel must be 'auto', 'array' or 'legacy', "
-                f"got {self.kernel!r}"
             )
         if isinstance(self.verify_workers, bool) or not isinstance(
             self.verify_workers, int
@@ -320,7 +310,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
             "verify": self.verify,
             "verifier": self.verifier,
             "verify_workers": self.verify_workers,
-            "kernel": self.kernel,
             "shards": self.shards,
             "executor": self.executor,
             "result_cache_size": self.result_cache_size,
@@ -338,12 +327,15 @@ start`); ``0`` disables it even there.  Entries are keyed by query
         """Rebuild a config from :meth:`to_dict` output.
 
         Unknown keys are rejected so that typos in hand-written config
-        files fail loudly instead of being silently ignored.
+        files fail loudly instead of being silently ignored.  The one
+        exception is :data:`RETIRED_KEYS`: documents written before a knob
+        was removed still load, and the retired value is dropped.
         """
         if not isinstance(data, dict):
             raise EngineConfigError(
                 f"engine config must be a dict, got {type(data).__name__}"
             )
+        data = {key: value for key, value in data.items() if key not in RETIRED_KEYS}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

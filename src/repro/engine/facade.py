@@ -55,7 +55,6 @@ from ..index.sharded import (
     merge_search_results,
 )
 from ..mining.registry import make_selector
-from .. import perf
 from ..perf import PerfCounters
 from ..core.canonical import structure_code_cache
 from ..search.planner import GlobalPlanner, QueryPlan
@@ -305,7 +304,7 @@ class Engine:
         """The engine's declarative configuration.
 
         Assigning a new config (e.g. ``engine.config =
-        engine.config.replace(verifier="legacy")``) drops the cached
+        engine.config.replace(verify_workers=4)``) drops the cached
         strategy, so the next query is answered under the new settings
         regardless of whether the engine has been queried before.
         """
@@ -603,15 +602,6 @@ class Engine:
         except Exception:
             return False
 
-    def _plans_enabled(self) -> bool:
-        """Whether searches should run through precomputed global plans.
-
-        Planning rides the ``"caches"`` optimization flag:
-        ``optimizations_disabled()`` exercises the legacy per-shard
-        plan-locally path the equivalence tests compare against.
-        """
-        return perf.optimizations_enabled("caches") and self._supports_planning()
-
     def _global_database_size(self) -> int:
         """The global live-graph count ``n`` used as the selectivity
         denominator — never any shard-local size."""
@@ -620,9 +610,10 @@ class Engine:
     def plan_queries(
         self, queries: Sequence[LabeledGraph], sigma: float
     ) -> Optional[List[QueryPlan]]:
-        """Plan each query once (cache-served), or ``None`` when planning
-        is off.  The scatter path ships these to every shard task."""
-        if not self._plans_enabled():
+        """Plan each query once (cache-served), or ``None`` when the
+        strategy does not plan.  The scatter path ships these to every
+        shard task."""
+        if not self._supports_planning():
             return None
         planner = self._ensure_planner()
         num_graphs = self._global_database_size()
@@ -639,7 +630,7 @@ class Engine:
         """Pre-populate the query-side caches for an expected workload.
 
         Enumerates each query's fragments into the fragment memo (on a
-        sharded index this seeds every shard) and — when planning is on —
+        sharded index this seeds every shard) and — when the strategy plans —
         plans each ``(query, sigma)`` pair, which also warms the range and
         global-statistics caches the plans touch.  ``pis serve --warm``
         calls this on startup so the first real queries hit warm caches.
@@ -653,7 +644,7 @@ class Engine:
             for query in queries:
                 self.index.enumerate_query_fragments(query)
         planned = 0
-        if self._plans_enabled() and sigmas:
+        if self._supports_planning() and sigmas:
             planner = self._ensure_planner()
             num_graphs = self._global_database_size()
             for sigma in sigmas:
@@ -671,7 +662,7 @@ class Engine:
         ``pis explain`` CLI command.
         """
         plan = None
-        if self._plans_enabled():
+        if self._supports_planning():
             plan = self._ensure_planner().plan(
                 query, sigma, num_graphs=self._global_database_size()
             )
@@ -716,7 +707,6 @@ class Engine:
             ("verifier", self.config.verifier),
             ("verify_workers", self.config.verify_workers),
             ("verify_executor", verify_executor or self.config.executor),
-            ("verify_kernel", self.config.kernel),
         ):
             if takes_kwargs or key in signature.parameters:
                 params.setdefault(key, value)
@@ -901,7 +891,7 @@ class Engine:
         return counters
 
     def _verify_stats(self) -> Dict[str, Any]:
-        """Verification view: configured kernel mode plus search effort.
+        """Verification view: kernel availability plus search effort.
 
         ``nodes_expanded`` counts partial placements the superposition
         search descended into across all queries so far — the direct
@@ -912,7 +902,6 @@ class Engine:
 
         snapshot = self._merged_counters().as_dict()
         return {
-            "kernel": self.config.kernel,
             "kernel_available": _kernel.kernel_available(),
             "candidates": snapshot.get("verify.candidates", 0),
             "superpositions_explored": snapshot.get(

@@ -32,7 +32,6 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 from ..core.canonical import CanonicalCode
 from ..core.distance import DistanceMeasure
 from ..core.graph import LabeledGraph
-from .. import perf
 from .backends import ClassIndexBackend, make_backend
 from .bitset import bits_from_ids, supported_id
 from .sequence import FragmentSequencer
@@ -267,10 +266,10 @@ class EquivalenceClassIndex:
         distance to the query fragment — reported only when ``<= sigma``.
 
         For vectorizable measures the scan runs over the pre-vectorized
-        annotation arrays (one vectorized pass) unless the ``"vectorized"``
-        optimization flag is off.
+        annotation arrays (one vectorized pass); other classes scan their
+        backend.
         """
-        if self._vector_store is not None and perf.optimizations_enabled("vectorized"):
+        if self._vector_store is not None:
             return self._vector_store.range_query(
                 self.measure.vectorize(tuple(sequence)), sigma
             )

@@ -18,8 +18,7 @@ indexed fragment inside a query graph; the partition-based search then picks
 a vertex-disjoint subset of them and combines their per-class range queries
 into the lower bound of Eq. (2).
 
-Performance machinery (all honouring the global optimization flags in
-:mod:`repro.perf`):
+Performance machinery:
 
 * every index owns a :class:`~repro.perf.PerfCounters` instance shared with
   the strategies built over it;
@@ -50,7 +49,6 @@ from ..core.database import GraphDatabase
 from ..core.distance import DistanceMeasure
 from ..core.errors import FeatureNotIndexedError, IndexError_, IndexNotBuiltError
 from ..core.graph import LabeledGraph, edge_key
-from .. import perf
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters, graph_signature
 from ..store.epoch import EpochManager
 from .bitset import bits_from_ids
@@ -315,8 +313,7 @@ class FragmentIndex:
         subgraph-embedding search per class and graph) out over a process
         pool; insertions are replayed in database order, so the resulting
         index is identical to a serial build.  Falls back to the serial path
-        if a worker pool cannot be created or the ``"parallel"``
-        optimization flag is off.
+        if a worker pool cannot be created.
 
         Returns ``self`` so construction can be chained.
         """
@@ -331,12 +328,7 @@ class FragmentIndex:
             pool_size = int(workers or 0)
             generation_before = self._generation
             with self.counters.timer("index_build"):
-                if (
-                    pool_size > 1
-                    and len(database) > 1
-                    and self._classes
-                    and perf.optimizations_enabled("parallel")
-                ):
+                if pool_size > 1 and len(database) > 1 and self._classes:
                     self._build_parallel(database, pool_size)
                 else:
                     for graph_id, graph in database.items():
@@ -643,13 +635,23 @@ class FragmentIndex:
             raise IndexNotBuiltError(
                 "the fragment index must be built before enumerating query fragments"
             )
-        # Skip even the signature computation when caches are off, so the
-        # legacy path measured by the benchmark gate stays cache-free.
-        key = graph_signature(query) if perf.optimizations_enabled("caches") else None
-        if key is not None:
-            cached = self._fragment_cache.get(key)
-            if cached is not MemoCache.MISS:
-                return list(cached)
+        key = graph_signature(query)
+        cached = self._fragment_cache.get(key)
+        if cached is not MemoCache.MISS:
+            return list(cached)
+        result = self.compute_query_fragments(query)
+        # Return a copy, never the cached list itself: a caller mutating its
+        # fragment list must not corrupt later cache hits.
+        self._fragment_cache.put(key, result)
+        return list(result)
+
+    def compute_query_fragments(self, query: LabeledGraph) -> List[QueryFragment]:
+        """Uncached form of :meth:`enumerate_query_fragments`.
+
+        Enumerates the fragments afresh without reading or filling the
+        memo cache; :mod:`repro.reference` uses it so its measurements and
+        comparisons never touch production caches.
+        """
         with self.counters.timer("enumerate_query_fragments"):
             fragments: Dict[Tuple[CanonicalCode, FrozenSet[EdgeKey]], QueryFragment] = {}
             for code, class_index in self._classes.items():
@@ -677,11 +679,6 @@ class FragmentIndex:
                     )
         result = list(fragments.values())
         self.counters.increment("query_fragments.enumerated", len(result))
-        if key is not None:
-            # Return a copy, never the cached list itself: a caller mutating
-            # its fragment list must not corrupt later cache hits.
-            self._fragment_cache.put(key, result)
-            return list(result)
         return result
 
     def prewarm_query_fragments(
@@ -693,11 +690,8 @@ class FragmentIndex:
         share one feature set, so the result is shard-independent — and
         seeds every shard's cache with it, so scatter-gather search never
         repeats the per-shard subgraph enumeration.  The cached list must
-        be exactly what :meth:`enumerate_query_fragments` would compute;
-        no-op while the ``"caches"`` optimization flag is off.
+        be exactly what :meth:`enumerate_query_fragments` would compute.
         """
-        if not perf.optimizations_enabled("caches"):
-            return
         self._fragment_cache.put(graph_signature(query), list(fragments))
 
     def range_query(

@@ -51,7 +51,6 @@ from typing import (
 from ..core.database import GraphDatabase
 from ..core.errors import DatasetError, EngineConfigError, IndexError_
 from ..core.graph import LabeledGraph
-from .. import perf
 from ..exec import make_executor
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters
 from ..search.results import PruningReport, SearchResult
@@ -403,8 +402,8 @@ class ShardedFragmentIndex:
 
         ``workers > 1`` builds whole shards in parallel worker processes
         (enumeration *and* backend insertion), producing shards byte-identical
-        to a serial build; the ``"parallel"`` optimization flag and process
-        availability gate the pool exactly like the unsharded parallel build.
+        to a serial build; process availability gates the pool exactly like
+        the unsharded parallel build.
         """
         num_shards = int(num_shards)
         if num_shards < 1:
@@ -421,11 +420,7 @@ class ShardedFragmentIndex:
         ]
         pool_size = int(workers or 0)
         start = time.perf_counter()
-        if (
-            pool_size > 1
-            and num_shards > 1
-            and perf.optimizations_enabled("parallel")
-        ):
+        if pool_size > 1 and num_shards > 1:
             executor = make_executor("process", workers=min(pool_size, num_shards))
             shards = executor.map(_build_shard_task, payloads)
         else:
@@ -572,11 +567,8 @@ class ShardedFragmentIndex:
         shard; without sharing, a scatter-gather search would repeat it per
         shard.  Shard 0 computes (and caches) the result, the other shards'
         memo caches are seeded with it, and a pickled shard carries its warm
-        cache into process-executor workers.  No-op while the ``"caches"``
-        optimization flag is off.
+        cache into process-executor workers.
         """
-        if not perf.optimizations_enabled("caches"):
-            return
         for query in queries:
             fragments = self.shards[0].enumerate_query_fragments(query)
             for shard in self.shards[1:]:

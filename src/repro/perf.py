@@ -1,11 +1,11 @@
-"""Hot-path performance instrumentation: counters, caches, and switches.
+"""Hot-path performance instrumentation: counters and caches.
 
 This module is the core of the performance subsystem.  It deliberately has
 no dependencies inside the package (only the standard library), so every
 layer — core canonicalization, the fragment index, the search strategies,
 the engine facade — can import it without cycles.
 
-Three facilities live here:
+Two facilities live here:
 
 :class:`PerfCounters`
     Named counters and accumulated timers.  Every :class:`FragmentIndex`
@@ -19,14 +19,8 @@ Three facilities live here:
     structure-code canonicalization, query-fragment enumeration, and
     per-fragment range queries.
 
-Optimization flags
-    :func:`optimizations_enabled` / :func:`optimizations_disabled` gate the
-    optimized code paths (caches, bitset candidate sets, vectorized range
-    scans, parallel builds, the bounded verifier, and the array-encoded
-    verification kernel of :mod:`repro.core.kernel`).  The benchmark gate
-    runs every workload twice — once optimized, once inside
-    ``optimizations_disabled()`` — and asserts that both paths return
-    byte-identical candidate and answer sets.
+The unoptimized comparison targets of the benchmark gate and the tests
+live in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
@@ -43,10 +37,6 @@ __all__ = [
     "Histogram",
     "MemoCache",
     "GLOBAL_COUNTERS",
-    "OPTIMIZATION_KINDS",
-    "optimizations_enabled",
-    "set_optimization",
-    "optimizations_disabled",
     "graph_signature",
     "skeleton_signature",
 ]
@@ -263,64 +253,13 @@ class Histogram:
 
 
 # ----------------------------------------------------------------------
-# optimization switches
-# ----------------------------------------------------------------------
-#: the independently switchable optimized code paths
-OPTIMIZATION_KINDS = (
-    "caches",
-    "bitsets",
-    "vectorized",
-    "parallel",
-    "verify",
-    "kernel",
-)
-
-_FLAGS: Dict[str, bool] = {kind: True for kind in OPTIMIZATION_KINDS}
-_FLAGS_LOCK = threading.Lock()
-
-
-def optimizations_enabled(kind: str = "caches") -> bool:
-    """Return ``True`` when the optimized path ``kind`` is switched on."""
-    if kind not in _FLAGS:
-        raise KeyError(f"unknown optimization kind {kind!r}; known: {OPTIMIZATION_KINDS}")
-    return _FLAGS[kind]
-
-
-def set_optimization(kind: str, enabled: bool) -> None:
-    """Switch one optimized path on or off globally."""
-    if kind not in _FLAGS:
-        raise KeyError(f"unknown optimization kind {kind!r}; known: {OPTIMIZATION_KINDS}")
-    with _FLAGS_LOCK:
-        _FLAGS[kind] = bool(enabled)
-
-
-@contextmanager
-def optimizations_disabled(*kinds: str) -> Iterator[None]:
-    """Temporarily run with the given optimized paths off (default: all).
-
-    The benchmark gate uses this to measure the pre-optimization filter and
-    to assert both paths produce identical candidate sets.
-    """
-    selected = kinds or OPTIMIZATION_KINDS
-    previous = {kind: optimizations_enabled(kind) for kind in selected}
-    for kind in selected:
-        set_optimization(kind, False)
-    try:
-        yield
-    finally:
-        for kind, value in previous.items():
-            set_optimization(kind, value)
-
-
-# ----------------------------------------------------------------------
 # memoization
 # ----------------------------------------------------------------------
 class MemoCache:
     """Bounded LRU memo cache with hit/miss/eviction accounting.
 
-    Lookups honour the global ``"caches"`` optimization flag: with caches
-    disabled every :meth:`get` misses and every :meth:`put` is dropped, so
-    the legacy code path is measured without cache interference.
+    ``maxsize=0`` stores nothing: every :meth:`put` is evicted at once, so
+    every :meth:`get` misses.
 
     When a ``counters`` sink is supplied, hits and misses are also recorded
     there as ``"<name>.cache_hits"`` / ``"<name>.cache_misses"``.
@@ -337,8 +276,8 @@ class MemoCache:
         maxsize: int = 1024,
         counters: Optional[PerfCounters] = None,
     ):
-        if maxsize < 1:
-            raise ValueError("maxsize must be positive")
+        if maxsize < 0:
+            raise ValueError("maxsize must be >= 0")
         self.name = name
         self.maxsize = maxsize
         self.hits = 0
@@ -350,8 +289,6 @@ class MemoCache:
 
     def get(self, key: Any) -> Any:
         """Return the cached value for ``key`` or :data:`MISS`."""
-        if not optimizations_enabled("caches"):
-            return self.MISS
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
@@ -370,8 +307,6 @@ class MemoCache:
 
     def put(self, key: Any, value: Any) -> None:
         """Store ``value`` under ``key``, evicting the LRU entry if full."""
-        if not optimizations_enabled("caches"):
-            return
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)

@@ -19,7 +19,6 @@ from .selectivity import FragmentSelectivity, SelectivityEstimator
 from .strategy import SearchStrategy
 from .verify import (
     BoundedVerifier,
-    LegacyVerifier,
     Verifier,
     available_verifiers,
     make_verifier,
@@ -52,7 +51,6 @@ __all__ = [
     "make_strategy",
     "available_strategies",
     "Verifier",
-    "LegacyVerifier",
     "BoundedVerifier",
     "register_verifier",
     "make_verifier",

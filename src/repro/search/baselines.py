@@ -26,7 +26,6 @@ from ..core.distance import DistanceMeasure
 from ..core.errors import IndexNotBuiltError
 from ..core.graph import LabeledGraph
 from ..core.isomorphism import has_embedding
-from .. import perf
 from ..index.bitset import ids_from_bits
 from ..index.fragment_index import FragmentIndex
 from .strategy import SearchStrategy
@@ -89,9 +88,7 @@ class TopoPruneSearch(SearchStrategy):
         structure containment does not depend on the distance threshold.
         """
         fragments = self.index.enumerate_query_fragments(query)
-        use_bits = (
-            perf.optimizations_enabled("bitsets") and self.index.supports_bitsets
-        )
+        use_bits = self.index.supports_bitsets
         candidate_ids: Optional[Set[int]] = None
         candidate_bits: Optional[int] = None
         seen_codes: Set = set()

@@ -24,18 +24,18 @@ in the paper's implementation notes (Section 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.database import GraphDatabase
 from ..core.errors import IndexNotBuiltError
 from ..core.graph import LabeledGraph
-from .. import perf
-from ..index.bitset import ids_from_bits
 from ..index.fragment_index import FragmentIndex, QueryFragment
+
+# ``select_partition`` is unused here, but perfbench's tracer wraps
+# ``pis.select_partition`` by name, so the module attribute must exist.
 from .partition import PartitionResult, select_partition
 from .planner import GlobalPlanner, QueryPlan
 from .results import PruningReport
-from .selectivity import SelectivityEstimator
 from .strategy import SearchStrategy
 from .verify import AUTO_VERIFIER
 
@@ -169,16 +169,8 @@ class PISearch(SearchStrategy):
         """Plan the filtering phase for one query (cached per generation)."""
         return self.planner.plan(query, sigma, num_graphs=self._database_size())
 
-    def plan_query(self, query: LabeledGraph, sigma: float) -> Optional[QueryPlan]:
-        """Planning hook of the :meth:`SearchStrategy.search` template.
-
-        Planning is gated on the global ``"caches"`` optimization flag:
-        ``optimizations_disabled()`` runs the legacy single-pass
-        :meth:`_filter_candidates`, which the benchmark gate and the
-        equivalence tests use as the reference.
-        """
-        if not perf.optimizations_enabled("caches"):
-            return None
+    def plan_query(self, query: LabeledGraph, sigma: float) -> QueryPlan:
+        """Planning hook of the :meth:`SearchStrategy.search` template."""
         return self.plan(query, sigma)
 
     # ------------------------------------------------------------------
@@ -192,21 +184,15 @@ class PISearch(SearchStrategy):
     ) -> FilterOutcome:
         """Run the partition-based filtering phase and return its outcome.
 
-        When planning is enabled (the ``"caches"`` flag) the phase splits
-        into :meth:`plan` + :meth:`execute_plan`; a caller-supplied ``plan``
-        (the scatter path) skips planning entirely.  Candidate sets are
-        intersected as big-int bitsets (one bitwise AND per fragment) when
-        the index supports it and the ``"bitsets"`` optimization flag is
-        on; the legacy hash-set path is kept both as a fallback and as the
-        reference the benchmark gate compares against.  All paths produce
-        identical candidates, distances, and lower bounds.
+        The phase splits into :meth:`plan` + :meth:`execute_plan`; a
+        caller-supplied ``plan`` (the scatter path) skips planning
+        entirely.  The single-pass form of the same phase lives in
+        :class:`repro.reference.ReferenceSearch` and produces identical
+        candidates, distances, and lower bounds.
         """
         if plan is None:
             plan = self.plan_query(query, sigma)
-        if plan is not None:
-            return self.execute_plan(plan)
-        with self.counters.timer("filter"):
-            return self._filter_candidates(query, sigma)
+        return self.execute_plan(plan)
 
     def execute_plan(self, plan: QueryPlan) -> FilterOutcome:
         """Execute a precomputed :class:`QueryPlan` against this index.
@@ -216,7 +202,7 @@ class PISearch(SearchStrategy):
         lower bound, both computed once by the planner — so execution is a
         restriction of that outcome to this index's live graph ids.  Over
         the index the plan was computed on this is byte-identical to the
-        legacy :meth:`_filter_candidates`; on a shard it is exactly the
+        single-pass reference filter; on a shard it is exactly the
         global outcome restricted to the shard's slice (shards partition
         the live ids, so the restricted candidate sets are disjoint and the
         restricted reports sum back to the global one).
@@ -250,8 +236,8 @@ class PISearch(SearchStrategy):
 
         # The Eq. 2 sweep already ran globally; partition report fields are
         # stated exactly when it did (``plan.partition_applied``), matching
-        # the legacy path's ``if eligible and candidate_ids`` guard on the
-        # global candidate set.
+        # the single-pass filter's ``if eligible and candidate_ids`` guard on
+        # the global candidate set.
         partition: Optional[PartitionResult] = None
         lower_bounds: Dict[int, float] = {}
         if plan.partition_applied:
@@ -295,139 +281,12 @@ class PISearch(SearchStrategy):
         self._live_ids_memo = (generation, live)
         return live
 
-    def _filter_candidates(self, query: LabeledGraph, sigma: float) -> FilterOutcome:
-        num_graphs = self._database_size()
-        report = PruningReport(num_database_graphs=num_graphs)
-        use_bits = (
-            perf.optimizations_enabled("bitsets") and self.index.supports_bitsets
-        )
-
-        # Lines 3-4: enumerate the indexed fragments of the query graph.
-        fragments = self.index.enumerate_query_fragments(query)
-        report.num_query_fragments = len(fragments)
-
-        candidate_set: Optional[Set[int]] = None
-        candidate_bits: Optional[int] = None
-        fragment_distances: Dict[int, Dict[int, float]] = {}
-        estimator = SelectivityEstimator(
-            num_graphs=num_graphs, sigma=sigma, cutoff_lambda=self.cutoff_lambda
-        )
-        selectivities: List[float] = []
-
-        # Lines 6-18: one range query per fragment; intersect the matching
-        # graph sets; compute the fragment selectivities.
-        self.counters.increment("filter.range_queries", len(fragments))
-        for position, fragment in enumerate(fragments):
-            distances, bits = self.index.range_query_with_bits(
-                fragment, sigma, want_bits=use_bits
-            )
-            fragment_distances[position] = distances
-            selectivities.append(estimator.from_range_result(distances).weight)
-            if use_bits:
-                candidate_bits = (
-                    bits if candidate_bits is None else candidate_bits & bits
-                )
-            else:
-                matched = set(distances)
-                candidate_set = (
-                    matched if candidate_set is None else candidate_set & matched
-                )
-
-        if use_bits:
-            if candidate_bits is None:
-                # No indexed fragment occurs in the query: the index cannot
-                # prune anything and every live graph stays a candidate.
-                candidate_ids: List[int] = self._all_graph_ids()
-            else:
-                candidate_ids = ids_from_bits(candidate_bits)
-        else:
-            if candidate_set is None:
-                candidate_ids = self._all_graph_ids()
-            else:
-                candidate_ids = sorted(candidate_set)
-
-        report.num_structure_candidates = len(candidate_ids)
-
-        # Line 5: drop fragments whose selectivity is below the floor.
-        eligible = [
-            position
-            for position in range(len(fragments))
-            if selectivities[position] > self.epsilon
-        ]
-        report.num_fragments_after_epsilon = len(eligible)
-
-        partition: Optional[PartitionResult] = None
-        lower_bounds: Dict[int, float] = {}
-        if eligible and candidate_ids:
-            # Lines 19-20: overlapping-relation graph + greedy MWIS.
-            partition = select_partition(
-                [fragments[position] for position in eligible],
-                [selectivities[position] for position in eligible],
-                method=self.partition_method,
-                k=self.partition_k,
-            )
-            report.partition_size = partition.size
-            report.partition_weight = partition.weight
-
-            # Lines 21-23: apply the lower bound of Eq. (2).  Candidates are
-            # visited in ascending id order, so the surviving list is sorted
-            # by construction.
-            partition_positions = [
-                eligible[node] for node in sorted(partition.mwis.nodes)
-            ]
-            partition_maps = [
-                fragment_distances[position] for position in partition_positions
-            ]
-            surviving: List[int] = []
-            for graph_id in candidate_ids:
-                bound = 0.0
-                for distances in partition_maps:
-                    distance = distances.get(graph_id)
-                    if distance is None:
-                        # The graph has no occurrence of this fragment within
-                        # sigma, so its superimposed distance already exceeds
-                        # the threshold.
-                        bound = sigma + 1.0
-                        break
-                    bound += distance
-                    if bound > sigma:
-                        break
-                lower_bounds[graph_id] = bound
-                if bound <= sigma:
-                    surviving.append(graph_id)
-            candidate_ids = surviving
-
-        report.num_candidates = len(candidate_ids)
-        self.counters.increment("filter.candidates", len(candidate_ids))
-        return FilterOutcome(
-            candidate_ids=candidate_ids,
-            fragment_distances=fragment_distances,
-            fragments=fragments,
-            selectivities=selectivities,
-            partition=partition,
-            report=report,
-            lower_bounds=lower_bounds,
-        )
-
     # ------------------------------------------------------------------
     # full search (filtering + verification)
     # ------------------------------------------------------------------
     def candidates(self, query: LabeledGraph, sigma: float) -> List[int]:
         """Return the candidate graph ids (filtering phase only)."""
         return self.filter_candidates(query, sigma).candidate_ids
-
-    def _filter(
-        self, query: LabeledGraph, sigma: float
-    ) -> Tuple[List[int], PruningReport, Optional[Dict[int, float]]]:
-        """Filtering hook of the shared :meth:`SearchStrategy.search` template.
-
-        Exposes the full :class:`FilterOutcome` to the template: the pruning
-        report and — crucially — the per-candidate Eq. 2 lower bounds, which
-        the bounded verifier uses to order, short-circuit, and early-exit
-        verification.
-        """
-        outcome = self.filter_candidates(query, sigma, plan=None)
-        return outcome.candidate_ids, outcome.report, outcome.lower_bounds
 
     def _execute(
         self, plan: QueryPlan

@@ -9,7 +9,6 @@ from ..core.database import GraphDatabase
 from ..core.distance import DistanceMeasure
 from ..core.errors import EngineConfigError
 from ..core.graph import LabeledGraph
-from .. import perf
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters
 from .results import PruningReport, SearchResult
 from .verify import AUTO_VERIFIER, Verifier, make_verifier, resolve_verifier_name
@@ -45,8 +44,8 @@ class SearchStrategy:
         strategies whose :attr:`requires_index` is true.
     verifier:
         Registry name of the candidate verifier (``"auto"``, ``"bounded"``,
-        ``"legacy"``, or any :func:`repro.search.register_verifier` name).
-        ``"auto"`` resolves to the optimized default.
+        or any :func:`repro.search.register_verifier` name).  ``"auto"``
+        resolves to the optimized default.
     verify_workers:
         Default worker-pool size for parallel candidate verification
         (``0`` = serial); :meth:`search` accepts a per-call override.
@@ -54,11 +53,6 @@ class SearchStrategy:
         :mod:`repro.exec` executor kind for the verification pool:
         ``"thread"`` (default), ``"process"`` for GIL-free parallel
         verification, or ``"serial"``.
-    verify_kernel:
-        Superposition search kernel used during verification: ``"auto"``
-        (default, follow the global ``"kernel"`` optimization flag),
-        ``"array"`` (force the array kernel of :mod:`repro.core.kernel`),
-        or ``"legacy"`` (force the recursive reference search).
     """
 
     #: strategy identifier used in reports and registry lookups
@@ -75,7 +69,6 @@ class SearchStrategy:
         verifier: str = AUTO_VERIFIER,
         verify_workers: int = 0,
         verify_executor: str = "thread",
-        verify_kernel: str = "auto",
     ):
         if measure is None and index is not None:
             measure = index.measure
@@ -89,7 +82,6 @@ class SearchStrategy:
         self.verifier_name = verifier
         self.verify_workers = int(verify_workers or 0)
         self.verify_executor = verify_executor
-        self.verify_kernel = verify_kernel
         # Index-backed strategies share the index's counter sink so that
         # filtering and verification report into one place; index-free
         # baselines own a private sink.
@@ -127,7 +119,7 @@ class SearchStrategy:
         The base implementation returns ``None`` — baselines have no
         plan/execute split and :meth:`search` falls back to :meth:`_filter`.
         PIS overrides this to consult its :class:`~repro.search.planner
-        .GlobalPlanner` when the ``"caches"`` optimization flag is on.
+        .GlobalPlanner`.
         """
         return None
 
@@ -186,7 +178,6 @@ class SearchStrategy:
                 distance_cache=self._distance_cache(),
                 workers=self.verify_workers,
                 executor=self.verify_executor,
-                kernel=self.verify_kernel,
             )
         return self._verifiers[resolved]
 
@@ -201,10 +192,6 @@ class SearchStrategy:
         """Verify candidates: keep graphs whose true distance is within sigma.
 
         Delegates to the configured :class:`~repro.search.verify.Verifier`.
-        When the global ``"verify"`` optimization flag is off
-        (:func:`repro.perf.optimizations_disabled`), the legacy sequential
-        loop is used instead regardless of configuration — the benchmark
-        gate relies on this to measure the pre-subsystem verifier.
 
         Parameters
         ----------
@@ -220,11 +207,7 @@ class SearchStrategy:
         tuple
             ``(answer_ids, answer_distances)`` in candidate order.
         """
-        if perf.optimizations_enabled("verify"):
-            chosen = self.get_verifier()
-        else:
-            chosen = self.get_verifier("legacy")
-        return chosen.verify(
+        return self.get_verifier().verify(
             query, sigma, candidate_ids, lower_bounds=lower_bounds, workers=workers
         )
 
@@ -254,7 +237,7 @@ class SearchStrategy:
             to execute (the scatter path plans once on the driver and ships
             the plan to every shard).  ``None`` asks the strategy to plan
             for itself via :meth:`plan_query`; strategies that do not plan
-            run their legacy :meth:`_filter` path.
+            run their :meth:`_filter` path.
 
         Returns
         -------

@@ -8,12 +8,6 @@ module turns the former inline loop of
 pluggable :class:`Verifier` components, registered by name exactly like the
 search strategies in :mod:`repro.search.registry`:
 
-:class:`LegacyVerifier` (``"legacy"``)
-    The reference path: one full :func:`repro.core.best_superposition` per
-    candidate, in candidate order, with no caching.  The benchmark gate
-    measures every optimized verifier against it and requires byte-identical
-    answers and distances.
-
 :class:`BoundedVerifier` (``"bounded"``, the default)
     Exploits the per-candidate lower bounds that the PIS filtering phase
     already computes (:attr:`repro.search.pis.FilterOutcome.lower_bounds`):
@@ -50,17 +44,16 @@ search strategies in :mod:`repro.search.registry`:
       verification at the cost of pickling the query and the candidate
       graphs.  ``"serial"`` disables the pool regardless of ``workers``.
 
-Both verifiers return answers in the original candidate order, so every
+Answers come back in the original candidate order, so every
 configuration — serial or parallel, cached or cold — produces byte-identical
-results.  The global ``"verify"`` optimization flag
-(:func:`repro.perf.optimizations_disabled`) forces the legacy path, which is
-how the benchmark gate proves the optimized verifier safe.
+results.  The benchmark gate and the tests prove this against the
+one-search-per-candidate loop of :class:`repro.reference.LegacyVerifier`.
 
 Examples
 --------
 >>> from repro.search.verify import available_verifiers, resolve_verifier_name
 >>> available_verifiers()
-['bounded', 'legacy']
+['bounded']
 >>> resolve_verifier_name("auto")
 'bounded'
 """
@@ -77,12 +70,10 @@ from ..core.errors import EngineConfigError, UnknownComponentError
 from ..core.graph import LabeledGraph
 from ..core.superimposed import INFINITE_DISTANCE, best_superposition
 from ..exec import make_executor
-from .. import perf
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters, graph_signature
 
 __all__ = [
     "Verifier",
-    "LegacyVerifier",
     "BoundedVerifier",
     "register_verifier",
     "make_verifier",
@@ -136,39 +127,18 @@ def query_cache_key(query: LabeledGraph, measure: DistanceMeasure) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-#: accepted values of the verifier ``kernel`` mode
-KERNEL_MODES = ("auto", "array", "legacy")
-
-
-def resolve_kernel_mode(kernel: str) -> Optional[bool]:
-    """Map a ``kernel`` mode string to a ``use_kernel`` argument.
-
-    ``"auto"`` -> ``None`` (follow the global ``"kernel"`` optimization
-    flag), ``"array"`` -> ``True`` (force the array kernel where it can
-    run), ``"legacy"`` -> ``False`` (force the recursive search).
-    """
-    if kernel not in KERNEL_MODES:
-        raise EngineConfigError(
-            f"unknown kernel mode {kernel!r}; expected one of {KERNEL_MODES}"
-        )
-    if kernel == "auto":
-        return None
-    return kernel == "array"
-
-
 def _verify_chunk_task(payload: Tuple) -> List[Tuple[int, float, int, int, int]]:
     """Process-pool task: verify one chunk of candidates exactly.
 
     The payload carries everything a worker needs — the query, the measure,
-    the threshold, the kernel routing flag, and ``(graph_id, graph,
-    lower_bound)`` triples — so the task is self-contained and picklable.
+    the threshold, and ``(graph_id, graph, lower_bound)`` triples — so the task is self-contained and picklable.
     Returns, per candidate, ``(graph_id, exact_distance,
     superpositions_explored, early_exits, nodes_expanded)``; the parent
     turns the raw distances into answers, caches them, and accounts the
     work, so process-verified results are byte-identical to (and accounted
     exactly like) serial verification.
     """
-    query, measure, sigma, use_kernel, candidates = payload
+    query, measure, sigma, candidates = payload
     outcomes: List[Tuple[int, float, int, int, int]] = []
     for graph_id, graph, bound in candidates:
         result = best_superposition(
@@ -177,7 +147,6 @@ def _verify_chunk_task(payload: Tuple) -> List[Tuple[int, float, int, int, int]]
             measure,
             threshold=sigma,
             known_lower_bound=bound,
-            use_kernel=use_kernel,
         )
         outcomes.append(
             (
@@ -221,12 +190,6 @@ class Verifier:
         ``"thread"`` (default), ``"process"`` for GIL-free verification, or
         ``"serial"`` to pin verification to the calling thread.  Verifiers
         that do not parallelize ignore it.
-    kernel:
-        Branch-and-bound backend selection: ``"auto"`` (default) follows
-        the global ``"kernel"`` optimization flag, ``"array"`` forces the
-        array kernel of :mod:`repro.core.kernel` where it can run, and
-        ``"legacy"`` pins the recursive search.  Both backends return
-        byte-identical distances.
     """
 
     #: verifier identifier used in reports and registry lookups
@@ -240,7 +203,6 @@ class Verifier:
         distance_cache: Optional[MemoCache] = None,
         workers: int = 0,
         executor: str = "thread",
-        kernel: str = "auto",
     ):
         self.database = database
         self.measure = measure
@@ -252,9 +214,6 @@ class Verifier:
         self.distance_cache = distance_cache
         self.workers = int(workers or 0)
         self.executor = executor
-        self.kernel = kernel
-        #: ``use_kernel`` argument derived from ``kernel`` (None = global flag)
-        self.use_kernel = resolve_kernel_mode(kernel)
 
     def _graph_revision(self, graph_id: int) -> int:
         """Rebinding revision of ``graph_id`` in the database (0 if static).
@@ -305,52 +264,6 @@ class Verifier:
         raise NotImplementedError
 
 
-class LegacyVerifier(Verifier):
-    """The pre-subsystem verification loop, kept as the reference path.
-
-    One full branch-and-bound :func:`~repro.core.best_superposition` call
-    per candidate, in candidate order, with the threshold as the only
-    pruning device — no ordering, no lower-bound short-circuit, no
-    memoization, no parallelism.  ``optimizations_disabled()`` routes every
-    strategy here, and the benchmark gate uses it as the baseline that
-    optimized verifiers must match byte for byte.
-    """
-
-    name = "legacy"
-
-    def verify(
-        self,
-        query: LabeledGraph,
-        sigma: float,
-        candidate_ids: Sequence[int],
-        lower_bounds: Optional[Mapping[int, float]] = None,
-        workers: Optional[int] = None,
-    ) -> Tuple[List[int], Dict[int, float]]:
-        """Verify candidates with one full search each (see class docs)."""
-        answers: List[int] = []
-        distances: Dict[int, float] = {}
-        explored = 0
-        expanded = 0
-        with self.counters.timer("verify"):
-            for graph_id in candidate_ids:
-                result = best_superposition(
-                    query,
-                    self.database[graph_id],
-                    self.measure,
-                    threshold=sigma,
-                    use_kernel=self.use_kernel,
-                )
-                explored += result.explored
-                expanded += result.nodes_expanded
-                if result.distance <= sigma:
-                    answers.append(graph_id)
-                    distances[graph_id] = result.distance
-        self.counters.increment("verify.candidates", len(candidate_ids))
-        self.counters.increment("verify.superpositions_explored", explored)
-        self.counters.increment("verify.nodes_expanded", expanded)
-        return answers, distances
-
-
 class BoundedVerifier(Verifier):
     """Lower-bound-driven verifier: order, short-circuit, memoize, early-exit.
 
@@ -380,7 +293,6 @@ class BoundedVerifier(Verifier):
         distance_cache: Optional[MemoCache] = None,
         workers: int = 0,
         executor: str = "thread",
-        kernel: str = "auto",
     ):
         super().__init__(
             database,
@@ -389,7 +301,6 @@ class BoundedVerifier(Verifier):
             distance_cache=distance_cache,
             workers=workers,
             executor=executor,
-            kernel=kernel,
         )
         if self.distance_cache is None:
             # No index-shared cache (e.g. an index-free baseline strategy):
@@ -452,16 +363,9 @@ class BoundedVerifier(Verifier):
         with self.counters.timer("verify"):
             ordered, skipped = self.plan(sigma, candidate_ids, bounds)
             self.last_order = list(ordered)
-            query_key = (
-                query_cache_key(query, self.measure)
-                if perf.optimizations_enabled("caches")
-                else None
-            )
+            query_key = query_cache_key(query, self.measure)
             parallel = (
-                pool_size > 1
-                and len(ordered) > 1
-                and self.executor != "serial"
-                and perf.optimizations_enabled("parallel")
+                pool_size > 1 and len(ordered) > 1 and self.executor != "serial"
             )
             if parallel and self.executor == "process":
                 outcomes = self._verify_process(
@@ -492,7 +396,7 @@ class BoundedVerifier(Verifier):
             if distance is not None
         }
         # Deterministic output: answers in original candidate order, exactly
-        # as the legacy loop reports them.
+        # as the one-search-per-candidate reference loop reports them.
         answers = [graph_id for graph_id in candidate_ids if graph_id in found]
         distances = {graph_id: found[graph_id] for graph_id in answers}
         self.counters.increment("verify.candidates", len(candidate_ids))
@@ -504,16 +408,12 @@ class BoundedVerifier(Verifier):
         self.counters.increment("verify.nodes_expanded", sum(o[3] for o in outcomes))
         return answers, distances
 
-    def _cache_key(
-        self, query_key: Optional[str], graph_id: int
-    ) -> Optional[Tuple[str, Any, int]]:
-        """Distance-cache key of one candidate, or ``None`` when caching is off."""
-        if query_key is None or self.distance_cache is None:
-            return None
+    def _cache_key(self, query_key: str, graph_id: int) -> Tuple[str, Any, int]:
+        """Distance-cache key of one candidate."""
         return (query_key, graph_id, self._graph_revision(graph_id))
 
     def _cached_outcome(
-        self, cache_key: Optional[Tuple[str, Any, int]], sigma: float
+        self, cache_key: Tuple[str, Any, int], sigma: float
     ) -> Optional[Tuple[Optional[float], int, int, int]]:
         """Resolve one candidate from the distance cache, if possible.
 
@@ -522,8 +422,6 @@ class BoundedVerifier(Verifier):
         cached only as "> threshold" at a smaller threshold — the refresh
         case, which is also accounted here).
         """
-        if cache_key is None:
-            return None
         entry = self.distance_cache.get(cache_key)
         if entry is MemoCache.MISS:
             return None
@@ -543,7 +441,7 @@ class BoundedVerifier(Verifier):
     def _verify_one(
         self,
         query: LabeledGraph,
-        query_key: Optional[str],
+        query_key: str,
         graph_id: int,
         sigma: float,
         bound: Optional[float],
@@ -565,10 +463,8 @@ class BoundedVerifier(Verifier):
             self.measure,
             threshold=sigma,
             known_lower_bound=bound,
-            use_kernel=self.use_kernel,
         )
-        if cache_key is not None:
-            self.distance_cache.put(cache_key, (result.distance, sigma))
+        self.distance_cache.put(cache_key, (result.distance, sigma))
         return (
             result.distance if result.distance <= sigma else None,
             result.explored,
@@ -579,7 +475,7 @@ class BoundedVerifier(Verifier):
     def _verify_process(
         self,
         query: LabeledGraph,
-        query_key: Optional[str],
+        query_key: str,
         ordered: Sequence[int],
         sigma: float,
         bounds: Mapping[int, float],
@@ -611,7 +507,6 @@ class BoundedVerifier(Verifier):
                         query,
                         self.measure,
                         sigma,
-                        self.use_kernel,
                         [
                             (graph_id, self.database[graph_id], bounds.get(graph_id))
                             for graph_id in chunk
@@ -623,9 +518,9 @@ class BoundedVerifier(Verifier):
             )
             for chunk_outcomes in pool.map(_verify_chunk_task, payloads):
                 for graph_id, distance, explored, early, expanded in chunk_outcomes:
-                    cache_key = self._cache_key(query_key, graph_id)
-                    if cache_key is not None:
-                        self.distance_cache.put(cache_key, (distance, sigma))
+                    self.distance_cache.put(
+                        self._cache_key(query_key, graph_id), (distance, sigma)
+                    )
                     outcomes[graph_id] = (
                         distance if distance <= sigma else None,
                         explored,
@@ -670,7 +565,6 @@ def make_verifier(
     distance_cache: Optional[MemoCache] = None,
     workers: int = 0,
     executor: str = "thread",
-    kernel: str = "auto",
 ) -> Verifier:
     """Instantiate a registered verifier by name.
 
@@ -688,9 +582,8 @@ def make_verifier(
         "distance_cache": distance_cache,
         "workers": workers,
     }
-    # Third-party verifiers written before the executor and kernel layers
-    # keep working: those kinds are passed only to constructors that accept
-    # them.
+    # Third-party verifiers written before the executor layer keep working:
+    # the executor kind is passed only to constructors that accept it.
     signature = inspect.signature(cls.__init__)
     accepts_any = any(
         parameter.kind is inspect.Parameter.VAR_KEYWORD
@@ -698,8 +591,6 @@ def make_verifier(
     )
     if "executor" in signature.parameters or accepts_any:
         kwargs["executor"] = executor
-    if "kernel" in signature.parameters or accepts_any:
-        kwargs["kernel"] = kernel
     try:
         return cls(database, measure, **kwargs)
     except TypeError as exc:
@@ -708,5 +599,4 @@ def make_verifier(
         ) from exc
 
 
-register_verifier(LegacyVerifier)
 register_verifier(BoundedVerifier)

@@ -22,9 +22,8 @@ Correctness rests entirely on the cache key::
   is always byte-identical to a fresh search against the current database.
 
 Hits return a *deep copy* flagged ``from_cache=True`` — callers may mutate
-their result freely without corrupting later hits.  Lookups honour the
-global ``"caches"`` optimization flag (:mod:`repro.perf`), so
-``optimizations_disabled()`` measures and tests the uncached path.
+their result freely without corrupting later hits.  ``maxsize=0`` stores
+nothing, so every lookup misses.
 """
 
 from __future__ import annotations

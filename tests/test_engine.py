@@ -74,6 +74,17 @@ class TestEngineConfig:
         with pytest.raises(EngineConfigError):
             EngineConfig.from_dict({"selector": "paths", "selector_prams": {}})
 
+    def test_retired_kernel_key_is_dropped(self):
+        # Engine documents written before the kernel knob was removed carry
+        # "kernel"; they still load, and no other unknown key is forgiven.
+        written_before = dict(CONFIG.to_dict(), kernel="auto")
+        assert EngineConfig.from_dict(written_before) == CONFIG
+        assert "kernel" not in EngineConfig.from_dict(written_before).to_dict()
+        with pytest.raises(EngineConfigError):
+            EngineConfig.from_dict(dict(written_before, kernels="auto"))
+        with pytest.raises(TypeError):
+            EngineConfig(kernel="array")
+
     def test_bad_field_types_rejected(self):
         with pytest.raises(EngineConfigError):
             EngineConfig(selector="")
@@ -293,6 +304,19 @@ class TestEnginePersistence:
             assert original.answer_ids == from_disk.answer_ids
             assert original.candidate_ids == from_disk.candidate_ids
             assert original.answer_distances == from_disk.answer_distances
+
+    def test_load_engine_saved_with_kernel_field(self, tmp_path, database, engine, queries):
+        path = tmp_path / "engine.json"
+        engine.save(path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["config"]["kernel"] = "legacy"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        reloaded = Engine.load(path, database)
+        assert reloaded.config == engine.config
+        assert (
+            reloaded.search(queries[0], 1).answer_ids
+            == engine.search(queries[0], 1).answer_ids
+        )
 
     def test_load_rejects_wrong_database(self, tmp_path, database, engine):
         path = tmp_path / "engine.json"

@@ -1,10 +1,11 @@
 """Property tests for the array superposition kernel (:mod:`repro.core.kernel`).
 
 The kernel's contract is byte-identity: for every (query, target, measure,
-threshold) combination it must return exactly the distance the legacy
-recursive search returns — including ``inf`` — and a whole engine running
-on the kernel must produce byte-identical answer sets to one running on
-the recursive path, sharded or not.  The suite sweeps random graph pairs
+threshold) combination it must return exactly the distance the recursive
+search (:func:`repro.core.superimposed.recursive_superposition`) returns —
+including ``inf`` — and a whole engine running on the kernel must produce
+byte-identical answer sets to the reference path of :mod:`repro.reference`
+(recursive search, legacy verifier), sharded or not.  The suite sweeps random graph pairs
 across both paper measures, the include-vertices/include-edges subsets,
 and every search mode (plain, threshold, ``stop_at_threshold``,
 ``known_lower_bound``).
@@ -26,6 +27,7 @@ from repro.core import (
     within_distance,
 )
 from repro.core.database import GraphDatabase
+from repro.core.superimposed import recursive_superposition
 from repro.core import kernel as kernel_module
 from repro.core.kernel import (
     MAX_KERNEL_VERTICES,
@@ -36,7 +38,7 @@ from repro.core.kernel import (
 )
 from repro.datasets import sample_connected_subgraph
 from repro.engine import Engine, EngineConfig
-from repro.perf import optimizations_disabled
+from repro import reference
 
 from helpers import build_graph, cycle_graph, path_graph, random_molecule
 
@@ -85,11 +87,11 @@ class TestDistanceEquality:
         )
         query, target = _random_pair(rng)
         for threshold in (None, 0.0, 1.0, 3.5):
-            legacy = best_superposition(
-                query, target, measure, threshold=threshold, use_kernel=False
+            legacy = recursive_superposition(
+                query, target, measure, threshold=threshold
             )
-            fast = best_superposition(
-                query, target, measure, threshold=threshold, use_kernel=True
+            fast = kernel_best_superposition(
+                query, target, measure, threshold=threshold
             )
             assert fast.distance == legacy.distance, (
                 f"threshold={threshold}: kernel {fast.distance!r} "
@@ -111,35 +113,30 @@ class TestDistanceEquality:
         rng = random.Random(1000 + trial)
         query, target = _random_pair(rng)
         for sigma in (0.0, 1.0, 2.5, 5.0):
-            assert within_distance(
-                query, target, full_measure, sigma, use_kernel=True
-            ) == within_distance(
-                query, target, full_measure, sigma, use_kernel=False
+            recursive = recursive_superposition(
+                query, target, full_measure, threshold=sigma, stop_at_threshold=True
+            )
+            assert within_distance(query, target, full_measure, sigma) == (
+                recursive.distance <= sigma
             )
 
     @pytest.mark.parametrize("trial", range(6))
     def test_known_lower_bound_stays_exact(self, trial, edge_measure):
         rng = random.Random(2000 + trial)
         query, target = _random_pair(rng)
-        exact = best_superposition(
-            query, target, edge_measure, use_kernel=False
-        ).distance
+        exact = recursive_superposition(query, target, edge_measure).distance
         if exact == INFINITE_DISTANCE:
             pytest.skip("no superposition: lower bound irrelevant")
         for bound in (0.0, exact / 2, exact):
-            fast = best_superposition(
-                query,
-                target,
-                edge_measure,
-                known_lower_bound=bound,
-                use_kernel=True,
+            fast = kernel_best_superposition(
+                query, target, edge_measure, known_lower_bound=bound
             )
             assert fast.distance == exact
 
     def test_infinite_when_structure_absent(self, full_measure):
         assert (
-            best_superposition(
-                cycle_graph(4), path_graph(5), full_measure, use_kernel=True
+            kernel_best_superposition(
+                cycle_graph(4), path_graph(5), full_measure
             ).distance
             == INFINITE_DISTANCE
         )
@@ -147,10 +144,8 @@ class TestDistanceEquality:
     def test_single_vertex_query(self, full_measure):
         query = build_graph(1, [], vertex_labels=["N"])
         target = random_molecule(random.Random(3), num_vertices=7)
-        for use_kernel in (True, False):
-            result = best_superposition(
-                query, target, full_measure, use_kernel=use_kernel
-            )
+        for search in (kernel_best_superposition, recursive_superposition):
+            result = search(query, target, full_measure)
             assert result.distance == min(
                 full_measure.vertex_cost(query, 0, target, tv)
                 for tv in target.vertices()
@@ -159,21 +154,31 @@ class TestDistanceEquality:
     def test_graph_pair_distance_matches(self, edge_measure):
         a = cycle_graph(4, edge_labels=["s", "s", "d", "d"])
         b = cycle_graph(4, edge_labels=["d", "s", "d", "s"])
-        assert graph_pair_distance(a, b, edge_measure, use_kernel=True) == (
-            graph_pair_distance(a, b, edge_measure, use_kernel=False)
+        assert graph_pair_distance(a, b, edge_measure) == (
+            recursive_superposition(a, b, edge_measure).distance
         )
 
     @pytest.mark.parametrize("trial", range(4))
-    def test_global_flag_routes_to_kernel(self, trial, full_measure):
-        # With optimizations on (the default), use_kernel=None follows the
-        # "kernel" flag; under optimizations_disabled() the legacy search
-        # must run — same distances either way.
+    def test_global_flag_routes_to_kernel(self, trial, full_measure, monkeypatch):
+        # best_superposition runs the kernel whenever it can (there is no
+        # switch), and the recursive search agrees on the distance.
         rng = random.Random(4000 + trial)
         query, target = _random_pair(rng)
-        flagged = best_superposition(query, target, full_measure)
-        with optimizations_disabled():
-            legacy = best_superposition(query, target, full_measure)
-        assert flagged.distance == legacy.distance
+        calls = []
+        original = kernel_module.kernel_best_superposition
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_module, "kernel_best_superposition", counting)
+        routed = best_superposition(query, target, full_measure)
+        if query.num_edges <= target.num_edges and (
+            query.num_vertices <= target.num_vertices
+        ):
+            assert calls
+        legacy = recursive_superposition(query, target, full_measure)
+        assert routed.distance == legacy.distance
 
 
 class TestKernelEncoding:
@@ -201,15 +206,11 @@ class TestKernelEncoding:
         # answering with pre-mutation labels.
         query = path_graph(1, edge_labels=["double"])
         target = cycle_graph(3, edge_labels=["double", "single", "single"])
-        assert (
-            best_superposition(query, target, edge_measure, use_kernel=True).distance
-            == 0.0
-        )
+        assert best_superposition(query, target, edge_measure).distance == 0.0
         for (u, v) in list(target.edges()):
             target.set_edge_label(u, v, "single")
-        after = best_superposition(query, target, edge_measure, use_kernel=True)
-        with optimizations_disabled():
-            legacy = best_superposition(query, target, edge_measure)
+        after = best_superposition(query, target, edge_measure)
+        legacy = recursive_superposition(query, target, edge_measure)
         assert after.distance == legacy.distance > 0.0
 
     def test_cache_excluded_from_pickle_and_deepcopy(self):
@@ -229,9 +230,8 @@ class TestKernelEncoding:
         assert (
             kernel_best_superposition(query, target, edge_measure) is None
         )  # refuses: best_superposition then runs the recursive path
-        result = best_superposition(query, target, edge_measure, use_kernel=True)
-        with optimizations_disabled():
-            legacy = best_superposition(query, target, edge_measure)
+        result = best_superposition(query, target, edge_measure)
+        legacy = recursive_superposition(query, target, edge_measure)
         assert result.distance == legacy.distance
 
     def test_max_kernel_vertices_is_sane(self):
@@ -250,8 +250,8 @@ class TestNodesExpanded:
         # exists, and the distances must still agree.
         rng = random.Random(6000 + trial)
         query, target = _random_pair(rng)
-        legacy = best_superposition(query, target, full_measure, use_kernel=False)
-        fast = best_superposition(query, target, full_measure, use_kernel=True)
+        legacy = recursive_superposition(query, target, full_measure)
+        fast = kernel_best_superposition(query, target, full_measure)
         assert fast.distance == legacy.distance
         if legacy.distance != INFINITE_DISTANCE:
             assert legacy.nodes_expanded > 0
@@ -267,11 +267,11 @@ def _build_database(seed=101, count=24):
     return database
 
 
-def _answers_payload(engine, queries, sigmas):
+def _answers_payload(search, queries, sigmas):
     payload = []
     for query in queries:
         for sigma in sigmas:
-            result = engine.search(query, sigma)
+            result = search(query, sigma)
             payload.append(
                 {
                     "sigma": sigma,
@@ -285,7 +285,7 @@ def _answers_payload(engine, queries, sigmas):
 
 
 class TestEngineByteIdentity:
-    """End-to-end: kernel and legacy engines return identical answers."""
+    """End-to-end: the kernel engine and the reference path agree."""
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_answers_identical_across_kernels(self, shards):
@@ -299,35 +299,31 @@ class TestEngineByteIdentity:
                 queries.append(query)
         sigmas = [0.0, 1.5, 4.0]
 
-        engines = {
-            mode: Engine.build(
-                database, EngineConfig(kernel=mode, shards=shards)
-            )
-            for mode in ("array", "legacy")
-        }
-        payloads = {
-            mode: _answers_payload(engine, queries, sigmas)
-            for mode, engine in engines.items()
-        }
-        assert payloads["array"] == payloads["legacy"]
+        engine = Engine.build(database, EngineConfig(shards=shards))
+        array = _answers_payload(engine.search, queries, sigmas)
 
-        # the disabled-optimizations path (recursive search, legacy
-        # verifier) agrees too — the full pre-kernel behaviour is intact
-        with optimizations_disabled():
-            disabled = _answers_payload(engines["array"], queries, sigmas)
-        assert disabled == payloads["array"]
+        # the reference path (recursive search, legacy verifier, no caches)
+        # over the same index agrees — the pre-kernel behaviour is intact
+        legacy = _answers_payload(
+            lambda query, sigma: reference.search(
+                engine.database, engine.index, query, sigma
+            ),
+            queries,
+            sigmas,
+        )
+        assert array == legacy
 
     def test_stats_surface_nodes_expanded(self):
         database = _build_database(count=12)
-        engine = Engine.build(database, EngineConfig(kernel="array"))
+        engine = Engine.build(database, EngineConfig())
         rng = random.Random(13)
         query = sample_connected_subgraph(
             database[database.graph_ids()[0]], 4, rng
         ) or random_molecule(rng, num_vertices=4)
         engine.search(query, 2.0)
         stats = engine.stats()["verify"]
-        assert stats["kernel"] == "array"
+        assert "kernel" not in stats
         assert stats["kernel_available"] is True
         assert stats["nodes_expanded"] >= 0
         serving = engine.serving_stats()["verify"]
-        assert serving["kernel"] == "array"
+        assert serving["kernel_available"] is True

@@ -4,7 +4,7 @@ Covers the PR-2 acceptance surface:
 
 * cache hit/miss accounting (``MemoCache``, structure-code cache, the
   fragment index's query-fragment and range-query caches);
-* bitset candidate sets matching the set-based legacy results on
+* bitset candidate sets matching the set-based reference results on
   randomized databases (PIS and topoPrune, across thresholds);
 * parallel vs serial ``Engine.build`` producing identical indexes;
 * counters surfacing in ``SearchResult`` / ``BatchSearchResult`` and
@@ -26,10 +26,9 @@ from repro import (
     PerfCounters,
     QueryWorkload,
     generate_chemical_database,
-    optimizations_disabled,
-    optimizations_enabled,
 )
-from repro.core.canonical import structure_code, structure_code_cache
+from repro.core.canonical import min_dfs_code, structure_code, structure_code_cache
+from repro.index import FragmentIndex
 from repro.index.bitset import (
     bit_count,
     bits_from_ids,
@@ -43,6 +42,8 @@ from repro.index.persistence import (
     index_to_dict,
 )
 from repro.perf import graph_signature, skeleton_signature
+from repro.reference import ReferenceSearch
+from repro.search import TopoPruneSearch
 
 
 SMALL_CONFIG = EngineConfig(
@@ -156,13 +157,15 @@ class TestMemoCache:
         assert sink.get("probe.cache_misses") == 1
         assert sink.get("probe.cache_hits") == 1
 
-    def test_disabled_caches_always_miss(self):
-        cache = MemoCache("t")
-        with optimizations_disabled("caches"):
-            cache.put("k", 1)
-            assert cache.get("k") is MemoCache.MISS
-        assert cache.get("k") is MemoCache.MISS  # the put was dropped too
-        assert optimizations_enabled("caches")
+    def test_zero_size_cache_stores_nothing(self):
+        cache = MemoCache("t", maxsize=0)
+        cache.put("k", 1)
+        assert cache.get("k") is MemoCache.MISS
+        assert len(cache) == 0
+        assert cache.stats()["misses"] == 1
+        assert cache.stats()["evictions"] == 1
+        with pytest.raises(ValueError):
+            MemoCache("t", maxsize=-1)
 
 
 # ----------------------------------------------------------------------
@@ -192,9 +195,9 @@ class TestSignaturesAndStructureCode:
 
     def test_structure_code_correct_with_caches_disabled(self):
         graph = LabeledGraph.from_edges([(0, 1), (1, 2)])
-        with optimizations_disabled("caches"):
-            uncached = structure_code(graph)
-        assert uncached == structure_code(graph)
+        uncached = min_dfs_code(graph, use_vertex_labels=False, use_edge_labels=False)
+        assert structure_code(graph) == uncached
+        assert structure_code(graph) == uncached  # served from the cache
 
 
 # ----------------------------------------------------------------------
@@ -270,8 +273,9 @@ class TestIndexCaches:
             for sigma in (0, 1, 2):
                 warm = small_engine.strategy.candidates(query, sigma)
                 cached = small_engine.strategy.candidates(query, sigma)
-                with optimizations_disabled():
-                    cold = small_engine.strategy.candidates(query, sigma)
+                cold = ReferenceSearch(
+                    small_engine.database, small_engine.index
+                ).candidates(query, sigma)
                 assert warm == cached == cold
 
 
@@ -284,14 +288,25 @@ class TestBitsetCandidates:
         database = generate_chemical_database(30, seed=seed)
         engine = Engine.build(database, SMALL_CONFIG)
         topo = engine.make_strategy("topoPrune")
+        # The same graphs under negative ids, which bitsets cannot hold:
+        # this index (and topoPrune over it) intersects Python sets.
+        features = [class_index.skeleton for class_index in engine.index.classes()]
+        set_index = FragmentIndex(features, engine.index.measure)
+        for graph_id, graph in database.items():
+            set_index.index_graph(-1 - graph_id, graph)
+        assert engine.index.supports_bitsets
+        assert not set_index.supports_bitsets
+        set_topo = TopoPruneSearch(database, index=set_index)
+        reference = ReferenceSearch(database, engine.index)
         queries = QueryWorkload(database, seed=seed + 50).sample_queries(8, 2)
         for query in queries:
             for sigma in (0, 1, 3):
                 fast_pis = engine.strategy.candidates(query, sigma)
                 fast_topo = topo.candidates(query, sigma)
-                with optimizations_disabled():
-                    slow_pis = engine.strategy.candidates(query, sigma)
-                    slow_topo = topo.candidates(query, sigma)
+                slow_pis = reference.candidates(query, sigma)
+                slow_topo = sorted(
+                    -1 - graph_id for graph_id in set_topo.candidates(query, sigma)
+                )
                 assert fast_pis == slow_pis
                 assert fast_topo == slow_topo
 
@@ -318,9 +333,8 @@ class TestParallelBuild:
             serial.search(query, 1).answer_ids == parallel.search(query, 1).answer_ids
         )
 
-    def test_parallel_flag_off_falls_back_to_serial(self, small_db):
-        with optimizations_disabled("parallel"):
-            engine = Engine.build(small_db, SMALL_CONFIG, workers=4)
+    def test_single_worker_builds_serially(self, small_db):
+        engine = Engine.build(small_db, SMALL_CONFIG, workers=1)
         assert engine.index.counters.get("index_build.parallel_chunks") == 0
 
 
@@ -451,6 +465,5 @@ class TestVectorizedScans:
         for query in queries:
             for sigma in (0.5, 1.5, 3.0):
                 fast = engine.strategy.candidates(query, sigma)
-                with optimizations_disabled():
-                    slow = engine.strategy.candidates(query, sigma)
+                slow = ReferenceSearch(database, engine.index).candidates(query, sigma)
                 assert fast == slow

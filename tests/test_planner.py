@@ -9,7 +9,7 @@ bit-identical selectivity inputs), the plan/execute split in
 legacy filter), the randomized property test — planned sharded search
 byte-identical (ids + distances + reports) to unsharded across 1/2/4
 shard topologies with interleaved add/remove mutations, and answer-
-identical to the legacy per-shard path under ``optimizations_disabled()``
+identical to the single-pass reference search of :mod:`repro.reference`
 — the global ``num_database_graphs`` report fix, cache warming
 (:meth:`Engine.warm`), ``Engine.explain``, the ``plan_cache`` serving
 stats, and the ``pis explain`` / ``pis serve --warm`` CLI surface.
@@ -32,7 +32,7 @@ from repro.datasets.queries import QueryWorkload
 from repro.engine import Engine, EngineConfig
 from repro.index import FragmentIndex, FragmentStatistics, ShardedFragmentIndex
 from repro.mining.exhaustive import ExhaustiveFeatureSelector
-from repro.perf import optimizations_disabled
+from repro.reference import ReferenceSearch
 from repro.search import GlobalPlanner, PISearch, QueryPlan
 
 SELECTOR_PARAMS = {
@@ -180,12 +180,14 @@ class TestGlobalPlanner:
         assert second.generation > first.generation
 
     def test_plan_disabled_without_cache_optimizations(self, engines, queries):
+        """The single-pass reference filter runs without a plan."""
         plain, _, _ = engines
-        with optimizations_disabled():
-            assert plain.strategy.plan_query(queries[0], 2.0) is None
-            result = plain.search(queries[0], 2.0)
+        result = ReferenceSearch(plain.database, plain.index).search(queries[0], 2.0)
         assert result.report.planned is False
         assert result.plan is None
+        planned = plain.search(queries[0], 2.0)
+        assert planned.report.planned is True
+        assert planned.answer_ids == result.answer_ids
 
     def test_plan_pickles_and_executes_identically(self, engines, queries):
         plain, _, _ = engines
@@ -207,7 +209,9 @@ class TestGlobalPlanner:
             for sigma in (1.0, 2.0):
                 plan = strategy.plan(query, sigma)
                 planned = strategy.execute_plan(plan)
-                legacy = strategy._filter_candidates(query, sigma)
+                legacy = ReferenceSearch(
+                    plain.database, plain.index
+                ).filter_candidates(query, sigma)
                 assert planned.candidate_ids == legacy.candidate_ids
                 assert planned.lower_bounds == legacy.lower_bounds
                 legacy_report = legacy.report.as_dict()
@@ -239,10 +243,9 @@ class TestGlobalReportFields:
             assert result.report.num_database_graphs == expected
             assert result.report.planned is True
             assert result.plan is not None
-        with optimizations_disabled():
-            legacy = four.search(queries[0], 2.0)
-        # Legacy shard tasks plan locally, but the merged report still
-        # restates the global database size, not a shard's slice.
+        # The reference path reads the sharded index as one global index,
+        # so its report states the global database size too.
+        legacy = ReferenceSearch(four.database, four.index).search(queries[0], 2.0)
         assert legacy.report.num_database_graphs == expected
         assert legacy.report.planned is False
 
@@ -295,14 +298,17 @@ def planner_scenario(seed):
                 result = engine.search(query, sigma)
                 assert result.report.planned, (seed, sigma)
                 assert full_payload(result) == reference, (seed, sigma)
-            # The legacy per-shard path may pick shard-local partitions
-            # (different candidate sets) — answers must still be exact.
-            with optimizations_disabled():
-                legacy = [
-                    answers_payload(engine.search(query, sigma))
-                    for engine in engines
-                ]
-            assert legacy[0] == legacy[1] == legacy[2] == reference[:2], (
+            # The single-pass reference search over every topology's index
+            # agrees on ids, distances and candidates.
+            legacy = [
+                full_payload(
+                    ReferenceSearch(engine.database, engine.index).search(
+                        query, sigma
+                    )
+                )
+                for engine in engines
+            ]
+            assert [payload[:3] for payload in legacy] == [reference[:3]] * 3, (
                 seed,
                 sigma,
             )
@@ -369,6 +375,23 @@ class TestWarmAndExplain:
             stats = engine.serving_stats()
             assert stats["plan_cache"]["name"] == "plan"
             assert stats["plan_cache"]["maxsize"] == engine.config.plan_cache_size
+
+    def test_zero_plan_cache_answers_like_default(self, database, queries):
+        # plan_cache_size=0 used to crash the first search ("maxsize must be
+        # positive"); it now plans afresh every time and stores nothing.
+        default = Engine.build(copy.deepcopy(database), EngineConfig(**CONFIG))
+        uncached = Engine.build(
+            copy.deepcopy(database), EngineConfig(plan_cache_size=0, **CONFIG)
+        )
+        for query in queries:
+            for sigma in (1.0, 2.0):
+                for _ in range(2):
+                    assert full_payload(uncached.search(query, sigma)) == (
+                        full_payload(default.search(query, sigma))
+                    )
+        stats = uncached.planner.cache_stats()
+        assert stats["size"] == 0
+        assert stats["hits"] == 0
 
     def test_plan_cache_size_config_round_trips(self):
         config = EngineConfig(plan_cache_size=16)

@@ -53,7 +53,8 @@ from repro.index.sharded import (
     shard_of,
 )
 from repro.mining.exhaustive import ExhaustiveFeatureSelector
-from repro.perf import GLOBAL_COUNTERS, PerfCounters, optimizations_disabled
+from repro.perf import GLOBAL_COUNTERS, PerfCounters
+from repro import reference
 from repro.search import BoundedVerifier, PISearch
 
 SELECTOR_PARAMS = {
@@ -320,13 +321,15 @@ class TestScatterGatherEquivalence:
         assert batch.executor == executor
 
     def test_disabled_optimizations_still_identical(self, engines, queries):
+        """The unoptimized reference path agrees on either topology."""
         plain, sharded = engines
         sharded.config = sharded.config.replace(executor="serial")
-        with optimizations_disabled():
-            for query in queries:
-                assert answers_payload(sharded.search(query, 1.0)) == answers_payload(
-                    plain.search(query, 1.0)
-                )
+        for query in queries:
+            expected = answers_payload(sharded.search(query, 1.0))
+            for engine in (plain, sharded):
+                assert answers_payload(
+                    reference.search(engine.database, engine.index, query, 1.0)
+                ) == expected
 
     def test_filter_only_mode(self, engines, queries):
         plain, sharded = engines
@@ -590,11 +593,10 @@ def interleaving_scenario(seed):
                         for engine in (plain, sharded, rebuilt)
                     ]
                 else:
-                    with optimizations_disabled():
-                        results = [
-                            engine.search(query, sigma)
-                            for engine in (plain, sharded, rebuilt)
-                        ]
+                    results = [
+                        reference.search(engine.database, engine.index, query, sigma)
+                        for engine in (plain, sharded, rebuilt)
+                    ]
                 payloads = [answers_payload(result) for result in results]
                 assert payloads[0] == payloads[1] == payloads[2], (
                     seed,
@@ -795,14 +797,16 @@ class TestShardedEpochIsolation:
             == epoch_before + len(self.scripted_batches())
         )
 
-    def test_scatter_gather_isolated_without_optimizations(
-        self, sharded_mutable
-    ):
-        queries = QueryWorkload(
-            sharded_mutable.database, seed=5
-        ).sample_queries(4, 2)
-        with optimizations_disabled():
-            violations = self.run_schedule(sharded_mutable, queries)
+    def test_scatter_gather_isolated_without_optimizations(self):
+        """Isolation holds when every search plans afresh (no plan cache)."""
+        uncached = Engine.build(
+            generate_chemical_database(16, seed=11),
+            EngineConfig(
+                selector_params=dict(SELECTOR_PARAMS), shards=4, plan_cache_size=0
+            ),
+        )
+        queries = QueryWorkload(uncached.database, seed=5).sample_queries(4, 2)
+        violations = self.run_schedule(uncached, queries)
         assert violations == []
 
 

@@ -50,7 +50,7 @@ from repro.index.rtree import RTreeBackend
 from repro.index.trie import TrieBackend
 from repro.index.vptree import VPTreeBackend
 from repro.mining.exhaustive import ExhaustiveFeatureSelector
-from repro.perf import optimizations_disabled
+from repro import reference
 from repro.search import BoundedVerifier
 
 from helpers import random_connected_subgraph
@@ -379,9 +379,12 @@ def mutation_equivalence_scenario(backend, weighted, seed):
                     incremental = engine.search(query, sigma)
                     fresh = rebuilt.search(query, sigma)
                 else:
-                    with optimizations_disabled():
-                        incremental = engine.search(query, sigma)
-                        fresh = rebuilt.search(query, sigma)
+                    incremental = reference.search(
+                        engine.database, engine.index, query, sigma
+                    )
+                    fresh = reference.search(
+                        rebuilt.database, rebuilt.index, query, sigma
+                    )
                 assert answers_payload(incremental) == answers_payload(fresh), (
                     backend,
                     weighted,
@@ -820,16 +823,14 @@ class TestEpochIsolation:
         # every batch bumped the epoch exactly once
         assert mutable_engine.index.epochs.current == epoch_before + len(batches)
 
-    def test_concurrent_readers_isolated_without_optimizations(
-        self, mutable_engine
-    ):
-        queries = QueryWorkload(
-            mutable_engine.database, seed=5
-        ).sample_queries(4, 2)
-        with optimizations_disabled():
-            violations = run_epoch_schedule(
-                mutable_engine, scripted_batches(), queries
-            )
+    def test_concurrent_readers_isolated_without_optimizations(self):
+        """Isolation holds when every search plans afresh (no plan cache)."""
+        uncached = Engine.build(
+            generate_chemical_database(16, seed=11),
+            EngineConfig(selector_params=dict(SELECTOR_PARAMS), plan_cache_size=0),
+        )
+        queries = QueryWorkload(uncached.database, seed=5).sample_queries(4, 2)
+        violations = run_epoch_schedule(uncached, scripted_batches(), queries)
         assert violations == []
 
     def test_writer_blocks_while_reader_is_pinned(self, mutable_engine):

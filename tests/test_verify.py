@@ -9,10 +9,10 @@ import pytest
 from repro.core import GraphDatabase, default_edge_mutation_distance
 from repro.core.superimposed import best_superposition
 from repro.engine import Engine, EngineConfig
-from repro.perf import MemoCache, optimizations_disabled
+from repro.perf import MemoCache
+from repro.reference import LegacyVerifier, ReferenceSearch
 from repro.search import (
     BoundedVerifier,
-    LegacyVerifier,
     NaiveSearch,
     PISearch,
     available_verifiers,
@@ -49,16 +49,36 @@ def legacy_truth(database, measure, query, sigma):
     return verifier.verify(query, sigma, list(database.graph_ids()))
 
 
+class EchoVerifier(LegacyVerifier):
+    """A third-party verifier: the reference loop under a registry name."""
+
+    name = "echo-test"
+
+
+@pytest.fixture
+def echo_verifier():
+    """Register :class:`EchoVerifier` for one test."""
+    from repro.search import verify as verify_module
+
+    register_verifier(EchoVerifier)
+    yield EchoVerifier.name
+    del verify_module._VERIFIERS[EchoVerifier.name]
+
+
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_available_verifiers(self):
-        assert available_verifiers() == ["bounded", "legacy"]
+        assert available_verifiers() == ["bounded"]
 
     def test_auto_resolves_to_default(self):
         assert resolve_verifier_name(AUTO_VERIFIER) == DEFAULT_VERIFIER
-        assert resolve_verifier_name("legacy") == "legacy"
+        assert resolve_verifier_name("bounded") == "bounded"
+
+    def test_legacy_is_not_a_production_verifier(self, small_database, edge_measure):
+        with pytest.raises(UnknownComponentError):
+            make_verifier("legacy", small_database, edge_measure)
 
     def test_make_verifier_auto(self, small_database, edge_measure):
         verifier = make_verifier("auto", small_database, edge_measure)
@@ -68,19 +88,12 @@ class TestRegistry:
         with pytest.raises(UnknownComponentError):
             make_verifier("nope", small_database, edge_measure)
 
-    def test_register_verifier_roundtrip(self, small_database, edge_measure):
-        from repro.search import verify as verify_module
-
-        class EchoVerifier(LegacyVerifier):
-            name = "echo-test"
-
-        register_verifier(EchoVerifier)
-        try:
-            assert "echo-test" in available_verifiers()
-            built = make_verifier("echo-test", small_database, edge_measure)
-            assert isinstance(built, EchoVerifier)
-        finally:
-            del verify_module._VERIFIERS["echo-test"]
+    def test_register_verifier_roundtrip(
+        self, small_database, edge_measure, echo_verifier
+    ):
+        assert echo_verifier in available_verifiers()
+        built = make_verifier(echo_verifier, small_database, edge_measure)
+        assert isinstance(built, EchoVerifier)
 
     def test_strategy_rejects_bad_verifier_lazily(self, small_database, edge_measure):
         strategy = NaiveSearch(small_database, edge_measure, verifier="nope")
@@ -270,50 +283,55 @@ class TestMemoization:
 
 
 # ----------------------------------------------------------------------
-# optimization flags
+# the unoptimized reference path (repro.reference)
 # ----------------------------------------------------------------------
 class TestOptimizationFlags:
     def test_disabled_restores_legacy_loop(self, small_database, edge_measure, query):
-        """optimizations_disabled() must route through LegacyVerifier."""
-        strategy = NaiveSearch(small_database, edge_measure)
+        """The reference verifier ignores bounds: one full search each."""
+        verifier = LegacyVerifier(small_database, edge_measure)
         bounds = {graph_id: 100.0 for graph_id in small_database.graph_ids()}
-        with optimizations_disabled():
-            answers, distances = strategy.verify(
-                query, 2.0, list(small_database.graph_ids()), lower_bounds=bounds
-            )
-        # The legacy loop ignores bounds entirely: nothing was skipped and
-        # every candidate was decided by a full distance computation.
-        assert strategy.counters.get("verify.lower_bound_skips") == 0
-        assert answers == legacy_truth(small_database, edge_measure, query, 2.0)[0]
+        answers, distances = verifier.verify(
+            query, 2.0, list(small_database.graph_ids()), lower_bounds=bounds
+        )
+        # Nothing was skipped and every candidate was decided by a full
+        # distance computation.
+        assert verifier.counters.get("verify.lower_bound_skips", None) is None
+        assert verifier.counters.get("verify.candidates") == len(small_database)
+        assert answers
+        bounded = BoundedVerifier(small_database, edge_measure)
+        assert bounded.verify(query, 2.0, list(small_database.graph_ids())) == (
+            answers,
+            distances,
+        )
 
     def test_disabled_bypasses_distance_cache(
-        self, small_database, edge_measure, query
+        self, small_database, small_index, query
     ):
-        strategy = NaiveSearch(small_database, edge_measure)
-        candidates = list(small_database.graph_ids())
-        with optimizations_disabled():
-            strategy.verify(query, 2.0, candidates)
-            strategy.verify(query, 2.0, candidates)
-        bounded = strategy.get_verifier("bounded")
-        assert bounded.distance_cache.hits == 0
-        assert len(bounded.distance_cache) == 0
+        small_index.clear_caches()
+        reference = ReferenceSearch(small_database, small_index)
+        reference.search(query, 2.0)
+        reference.search(query, 2.0)
+        for stats in small_index.cache_stats():
+            assert stats["size"] == 0, stats["name"]
+            assert stats["hits"] == 0, stats["name"]
 
     def test_verify_flag_alone_switches_verifier(
-        self, small_database, edge_measure, query
+        self, small_database, small_index, query
     ):
-        strategy = NaiveSearch(small_database, edge_measure)
-        candidates = list(small_database.graph_ids())
-        with optimizations_disabled("verify"):
-            strategy.verify(query, 2.0, candidates)
-        assert strategy.counters.get("verify.lower_bound_skips", None) is None
+        """Swapping only the verifier keeps the production answers."""
+        pis = PISearch(small_database, index=small_index)
+        outcome = pis.filter_candidates(query, 2.0)
+        legacy = LegacyVerifier(small_database, small_index.measure)
+        assert legacy.verify(query, 2.0, outcome.candidate_ids) == pis.verify(
+            query, 2.0, outcome.candidate_ids, lower_bounds=outcome.lower_bounds
+        )
 
     def test_search_results_identical_disabled_vs_enabled(
         self, small_database, small_index, query
     ):
         pis = PISearch(small_database, index=small_index)
         optimized = pis.search(query, 2.0)
-        with optimizations_disabled():
-            legacy = pis.search(query, 2.0)
+        legacy = ReferenceSearch(small_database, small_index).search(query, 2.0)
         assert optimized.answer_ids == legacy.answer_ids
         assert optimized.answer_distances == legacy.answer_distances
         assert optimized.candidate_ids == legacy.candidate_ids
@@ -358,9 +376,9 @@ class TestEngineWiring:
         return Engine.build(small_database, config)
 
     def test_config_round_trips_verifier_fields(self):
-        config = EngineConfig(verifier="legacy", verify_workers=3)
+        config = EngineConfig(verifier="bounded", verify_workers=3)
         rebuilt = EngineConfig.from_dict(config.to_dict())
-        assert rebuilt.verifier == "legacy"
+        assert rebuilt.verifier == "bounded"
         assert rebuilt.verify_workers == 3
 
     def test_config_rejects_bad_verifier_fields(self):
@@ -371,17 +389,17 @@ class TestEngineWiring:
         with pytest.raises(EngineConfigError):
             EngineConfig(verify_workers="many")
 
-    def test_engine_passes_verifier_to_strategy(self, small_database):
+    def test_engine_passes_verifier_to_strategy(self, small_database, echo_verifier):
         config = EngineConfig(
             selector="exhaustive",
             selector_params={"max_edges": 3, "min_support": 0.2, "sample_size": 10},
-            verifier="legacy",
+            verifier=echo_verifier,
             verify_workers=2,
         )
         engine = Engine.build(small_database, config)
-        assert engine.strategy.verifier_name == "legacy"
+        assert engine.strategy.verifier_name == echo_verifier
         assert engine.strategy.verify_workers == 2
-        assert isinstance(engine.strategy.get_verifier(), LegacyVerifier)
+        assert isinstance(engine.strategy.get_verifier(), EchoVerifier)
 
     def test_engine_verify_workers_per_call(self, engine, small_database, query):
         base = engine.search(query, 1.0)
@@ -395,26 +413,26 @@ class TestEngineWiring:
         assert [r.answer_ids for r in batch] == [r.answer_ids for r in serial]
 
     def test_config_reassignment_rebuilds_strategy(
-        self, engine, small_database, query
+        self, engine, small_database, query, echo_verifier
     ):
         """Assigning engine.config must drop the cached strategy, so a
         verifier override takes effect even after the engine was queried."""
         engine.search(query, 1.0)  # builds and caches the strategy
         assert isinstance(engine.strategy.get_verifier(), BoundedVerifier)
-        engine.config = engine.config.replace(verifier="legacy")
-        assert engine.strategy.verifier_name == "legacy"
-        assert isinstance(engine.strategy.get_verifier(), LegacyVerifier)
+        engine.config = engine.config.replace(verifier=echo_verifier)
+        assert engine.strategy.verifier_name == echo_verifier
+        assert isinstance(engine.strategy.get_verifier(), EchoVerifier)
         with pytest.raises(EngineConfigError):
             engine.config = "not a config"
 
     def test_saved_engine_preserves_verifier_choice(
-        self, engine, small_database, tmp_path
+        self, engine, small_database, tmp_path, echo_verifier
     ):
-        engine.config = engine.config.replace(verifier="legacy", verify_workers=2)
+        engine.config = engine.config.replace(verifier=echo_verifier, verify_workers=2)
         path = tmp_path / "engine.json"
         engine.save(path)
         reloaded = Engine.load(path, small_database)
-        assert reloaded.config.verifier == "legacy"
+        assert reloaded.config.verifier == echo_verifier
         assert reloaded.config.verify_workers == 2
 
     def test_index_cache_stats_include_distance_cache(self, engine):
