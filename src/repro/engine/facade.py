@@ -2,16 +2,25 @@
 
 The paper presents PIS as a single coherent system — feature selection,
 fragment index, partition-based search — and this module exposes it that
-way: :meth:`Engine.build` turns a database plus a declarative
-:class:`~repro.engine.config.EngineConfig` into a ready-to-query engine
-(one fragment index, or ``config.shards`` of them built in parallel
-processes), :meth:`Engine.search` / :meth:`Engine.search_many` answer SSSD
-queries — scatter-gathered across the shards of a sharded engine through a
-:mod:`repro.exec` executor and merged byte-identically to the unsharded
-answers, optionally in a worker pool, with per-query parallel candidate
-verification via ``verify_workers`` — and :meth:`Engine.save` /
-:meth:`Engine.load` round-trip the configuration and the built index
-together, so a reloaded engine answers every query identically.
+way:
+
+- :meth:`Engine.build` turns a database plus a declarative
+  :class:`~repro.engine.config.EngineConfig` into a ready-to-query engine
+  (one fragment index, or ``config.shards`` of them built in parallel
+  processes).
+- :meth:`Engine.search` / :meth:`Engine.search_many` answer SSSD queries.
+  On a sharded engine the coordinator plans each query once and every executor
+  runs the same per-shard task (:func:`_shard_batch_task`) through one
+  :meth:`~repro.exec.Executor.map_counted` call; the per-shard results
+  merge byte-identically to the unsharded answers.
+- :meth:`Engine.add_graphs` / :meth:`Engine.remove_graphs` mutate the
+  database and index in place.  Live writes and write-ahead-log replay
+  share one apply path and one record format,
+  :mod:`repro.engine.durability`.
+- :meth:`Engine.save` / :meth:`Engine.load` round-trip the configuration
+  and the built index together, so a reloaded engine answers every query
+  identically; in WAL mode, loading replays the committed batches the
+  snapshot missed.
 
 For serving, the engine has an explicit lifecycle: :meth:`Engine.start`
 (also entered via ``with engine:``) switches it into *resident* mode —
@@ -19,8 +28,8 @@ executors become long-lived pools reused across every search and scatter
 (workers keep their warm per-shard caches), and a generation-keyed
 query-result cache (:mod:`repro.serve`) answers repeated queries in O(1),
 byte-identically to a fresh search.  :meth:`Engine.close` shuts the pools
-down and drops the cache; an engine that is never started behaves exactly
-as before, with per-call executors and no result cache.
+down and drops the cache; an engine that is never started uses per-call
+executors and no result cache.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.database import GraphDatabase
 from ..core.distance import DistanceMeasure
@@ -65,6 +74,17 @@ from ..serve.cache import QueryResultCache, engine_fingerprint
 from ..store.atomic import atomic_write_text
 from ..store.wal import WriteAheadLog
 from .config import EngineConfig
+from .durability import (
+    apply_additions,
+    apply_record,
+    apply_removals,
+    check_fingerprint,
+    check_id_bound,
+    database_fingerprint,
+    log_additions,
+    log_removals,
+    plan_additions,
+)
 
 __all__ = ["Engine", "BatchSearchResult"]
 
@@ -152,18 +172,12 @@ class BatchSearchResult:
         }
 
 
-def _database_fingerprint(database: GraphDatabase) -> Dict[str, int]:
-    """A cheap database identity check for :meth:`Engine.load`.
-
-    Size totals catch the common mistake — loading an engine against a
-    different database of the same length — without the cost of hashing
-    every graph.
-    """
-    return {
-        "num_graphs": len(database),
-        "total_vertices": sum(graph.num_vertices for graph in database),
-        "total_edges": sum(graph.num_edges for graph in database),
-    }
+def _check_executor(name: str) -> None:
+    """Reject an executor name no :mod:`repro.exec` registration provides."""
+    if name not in available_executors():
+        raise EngineConfigError(
+            f"unknown executor {name!r}; available: {available_executors()}"
+        )
 
 
 def _search_chunk(payload: Tuple) -> List[SearchResult]:
@@ -219,43 +233,16 @@ def _filter_only_search(
     )
 
 
-def _run_shard_queries(
-    strategy: SearchStrategy,
-    queries: Sequence[LabeledGraph],
-    sigma: float,
-    verify: bool,
-    verify_workers: Optional[int],
-    plans: Optional[Sequence[Optional[QueryPlan]]] = None,
-) -> List[SearchResult]:
-    """One shard's slice of a scatter: run every query sequentially.
-
-    Shared by the in-process scatter path and the process-executor task so
-    the two can never diverge; parallelism comes from running shards
-    concurrently, not from within this loop.  ``plans`` carries the
-    driver's per-query plans (parallel to ``queries``) — with one in hand a
-    shard executes it instead of re-planning over shard-local statistics.
-    """
-    results: List[SearchResult] = []
-    for position, query in enumerate(queries):
-        plan = plans[position] if plans is not None else None
-        if verify:
-            results.append(
-                strategy.search(
-                    query, sigma, verify_workers=verify_workers, plan=plan
-                )
-            )
-        else:
-            results.append(_filter_only_search(strategy, query, sigma, plan=plan))
-    return results
-
-
 def _shard_batch_task(payload: Dict[str, Any]) -> List[SearchResult]:
     """Executor task of the sharded scatter-gather: one shard, all queries.
 
     The payload is a plain dict (picklable for the process executor) naming
     the shard's database view, its fragment index, the strategy
-    configuration, and the driver's per-query plans; the strategy is built
-    inside the task so worker processes construct their own.
+    configuration, and the coordinator's per-query plans.  The strategy is built
+    inside the task, so every executor runs the same code and worker
+    processes construct their own.  With a plan in hand a shard executes it
+    instead of re-planning over shard-local statistics; parallelism comes
+    from running shards concurrently, not from within this loop.
     """
     strategy = make_strategy(
         payload["strategy"],
@@ -264,14 +251,18 @@ def _shard_batch_task(payload: Dict[str, Any]) -> List[SearchResult]:
         index=payload["index"],
         **payload["strategy_params"],
     )
-    return _run_shard_queries(
-        strategy,
-        payload["queries"],
-        payload["sigma"],
-        payload["verify"],
-        payload["verify_workers"],
-        plans=payload.get("plans"),
-    )
+    sigma = payload["sigma"]
+    results: List[SearchResult] = []
+    for query, plan in zip(payload["queries"], payload["plans"]):
+        if payload["verify"]:
+            results.append(
+                strategy.search(
+                    query, sigma, verify_workers=payload["verify_workers"], plan=plan
+                )
+            )
+        else:
+            results.append(_filter_only_search(strategy, query, sigma, plan=plan))
+    return results
 
 
 class Engine:
@@ -318,7 +309,6 @@ class Engine:
             )
         self._config = value
         self._strategy = None
-        self._shard_strategies: Optional[List[SearchStrategy]] = None
         self._fingerprint: Optional[str] = None
         # The planner's parameters (epsilon, cutoff, MWIS method, cache
         # bound) all come from the config, so a new config needs a new
@@ -732,66 +722,46 @@ class Engine:
     # ------------------------------------------------------------------
     # sharded scatter-gather
     # ------------------------------------------------------------------
-    def _shard_strategy_list(self) -> List[SearchStrategy]:
-        """Per-shard strategies (built lazily, then cached).
-
-        Each strategy pairs one shard's fragment index with a
-        :class:`~repro.index.ShardDatabaseView` restricted to the shard's
-        graph ids, so filtering, fallbacks, and verification are all
-        shard-local.  Verification inside a shard stays on the thread
-        executor — shard-level parallelism already saturates the pool, and
-        a process scatter must not spawn nested process pools.
-        """
-        if self._shard_strategies is None:
-            index: ShardedFragmentIndex = self.index
-            self._shard_strategies = [
-                make_strategy(
-                    self.config.strategy,
-                    ShardDatabaseView(self.database, index.num_shards, position),
-                    measure=shard.measure,
-                    index=shard,
-                    **self._injected_strategy_params(
-                        self.config.strategy,
-                        self.config.strategy_params,
-                        verify_executor="thread",
-                    ),
-                )
-                for position, shard in enumerate(index.shards)
-            ]
-        return self._shard_strategies
-
     def _shard_payloads(
         self,
         queries: Sequence[LabeledGraph],
         sigma: float,
         verify_workers: Optional[int],
-        plans: Optional[Sequence[Optional[QueryPlan]]] = None,
+        plans: Sequence[Optional[QueryPlan]],
     ) -> List[Dict[str, Any]]:
-        """Picklable per-shard task payloads for the process executor.
+        """Per-shard :func:`_shard_batch_task` payloads, one per shard.
 
-        ``plans`` (parallel to ``queries``) rides along into every worker:
-        a :class:`~repro.search.planner.QueryPlan` is a plain frozen
+        Each pairs one shard's fragment index with a
+        :class:`~repro.index.ShardDatabaseView` restricted to the shard's
+        graph ids, so filtering, fallbacks, and verification are all
+        shard-local.  Verification inside a shard stays on the thread
+        executor — shard-level parallelism already saturates the pool, and
+        a process scatter must not spawn nested process pools.  ``plans``
+        (parallel to ``queries``) rides along: a
+        :class:`~repro.search.planner.QueryPlan` is a plain frozen
         dataclass whose pickle drops the raw range maps, so shipping one
         costs little more than its candidate ids and bounds.
         """
         index: ShardedFragmentIndex = self.index
+        queries, plans = list(queries), list(plans)
+        strategy_params = self._injected_strategy_params(
+            self.config.strategy,
+            self.config.strategy_params,
+            verify_executor="thread",
+        )
         return [
             {
                 "strategy": self.config.strategy,
-                "strategy_params": self._injected_strategy_params(
-                    self.config.strategy,
-                    self.config.strategy_params,
-                    verify_executor="thread",
-                ),
+                "strategy_params": strategy_params,
                 "database": ShardDatabaseView(
                     self.database, index.num_shards, position
                 ),
                 "index": shard,
-                "queries": list(queries),
+                "queries": queries,
                 "sigma": sigma,
                 "verify": self.config.verify,
                 "verify_workers": verify_workers,
-                "plans": list(plans) if plans is not None else None,
+                "plans": plans,
             }
             for position, shard in enumerate(index.shards)
         ]
@@ -808,18 +778,16 @@ class Engine:
         Every shard answers every query over its own partition; the
         per-shard results merge into per-query global results
         (:func:`repro.index.merge_search_results`) that are byte-identical
-        in answer ids and distances to an unsharded engine's.  The process
-        executor ships ``(shard index, database view)`` payloads and merges
-        the workers' counter deltas back into the sharded index's sink, so
-        :meth:`profile` sees the work wherever it ran.
+        in answer ids and distances to an unsharded engine's.  Every
+        executor runs the same :func:`_shard_batch_task` payloads through
+        :meth:`~repro.exec.Executor.map_counted`: in-process executors
+        report into the shards' live counter sinks, and the process
+        executor merges the workers' counter deltas into the sharded
+        index's sink, so :meth:`profile` sees the work wherever it ran.
         """
         index: ShardedFragmentIndex = self.index
         num_shards = index.num_shards
-        if executor_name not in available_executors():
-            raise EngineConfigError(
-                f"unknown executor {executor_name!r}; "
-                f"available: {available_executors()}"
-            )
+        _check_executor(executor_name)
         # Enumerate each query's fragments once, not once per shard: the
         # result is shard-independent, and warming the shard caches here
         # also ships into process-executor workers with the pickled shards.
@@ -828,29 +796,12 @@ class Engine:
         # solve, and the full filtering outcome computed on the driver,
         # instead of per shard.  The plans carry that outcome, so shard
         # tasks only restrict it to their live ids — no backend work.
-        plans = self.plan_queries(queries, sigma)
-        if executor_name == "process":
-            payloads = self._shard_payloads(
-                queries, sigma, verify_workers, plans=plans
-            )
-            pool = self._executor(
-                "process", num_shards, counters=index.counters
-            )
-            per_shard = pool.map_counted(
-                _shard_batch_task, payloads, sink=index.counters
-            )
-        else:
-            strategies = self._shard_strategy_list()
-            verify = self.config.verify
-            pool = self._executor(
-                executor_name, num_shards, counters=index.counters
-            )
-            per_shard = pool.map(
-                lambda strategy: _run_shard_queries(
-                    strategy, queries, sigma, verify, verify_workers, plans
-                ),
-                strategies,
-            )
+        plans = self.plan_queries(queries, sigma) or [None] * len(queries)
+        payloads = self._shard_payloads(queries, sigma, verify_workers, plans)
+        pool = self._executor(executor_name, num_shards, counters=index.counters)
+        per_shard = pool.map_counted(
+            _shard_batch_task, payloads, sink=index.counters
+        )
         num_live = len(self.database)
         return [
             merge_search_results(
@@ -948,7 +899,8 @@ class Engine:
         subsequent searches answer exactly as a from-scratch rebuild over
         the grown database would.
 
-        Returns the assigned graph ids, in input order.
+        Returns the assigned graph ids, in input order.  An empty batch
+        returns ``[]`` and touches nothing.
 
         With ``durability="wal"`` (a WAL attached), the whole batch —
         including the ids it will assign, planned deterministically up
@@ -959,65 +911,15 @@ class Engine:
         or the post-batch index, never a half-applied one.
         """
         graphs = list(graphs)
-        planned = self._plan_additions(graphs, reuse_ids)
-        lsn: Optional[int] = None
-        if self._wal is not None:
-            lsn = self._wal.append(
-                "add",
-                {
-                    "graphs": [
-                        [graph_id, graph.to_dict()]
-                        for graph_id, graph in zip(planned, graphs)
-                    ]
-                },
-            )
-        assigned: List[int] = []
-        with self.index.epochs.write():
-            for graph_id, graph in zip(planned, graphs):
-                actual = (
-                    self.database.add(graph, graph_id=graph_id)
-                    if graph_id < self.database.id_bound
-                    else self.database.add(graph)
-                )
-                if actual != graph_id:
-                    raise EngineError(
-                        f"planned graph id {graph_id} but the database "
-                        f"assigned {actual}; id planning desynchronized"
-                    )
-                self.index.add_graph(actual, graph)
-                assigned.append(actual)
-        if lsn is not None:
-            self._wal_applied_lsn = lsn
-            self.database.wal_position = lsn
-        self._strategy = None
-        self._shard_strategies = None
-        if self._result_cache is not None:
-            # The generation bump already makes old entries unreachable;
-            # clearing releases their memory immediately.
-            self._result_cache.clear()
+        if not graphs:
+            return []
+        pairs = list(
+            zip(plan_additions(self.database, len(graphs), reuse_ids), graphs)
+        )
+        lsn = log_additions(self._wal, pairs) if self._wal is not None else None
+        assigned = apply_additions(self.database, self.index, pairs)
+        self._committed(lsn)
         return assigned
-
-    def _plan_additions(
-        self, graphs: Sequence[LabeledGraph], reuse_ids: bool
-    ) -> List[int]:
-        """Pre-assign the ids :meth:`add_graphs` will hand out.
-
-        Replicates the database's assignment rule (reclaim tombstoned
-        slots lowest-first when ``reuse_ids``, else append at the bound)
-        without mutating anything, so the WAL record of a batch can name
-        its ids *before* the batch applies — replay is then deterministic
-        by construction.
-        """
-        reclaimable = self.database.removed_ids() if reuse_ids else []
-        next_fresh = self.database.id_bound
-        planned: List[int] = []
-        for _ in graphs:
-            if reclaimable:
-                planned.append(reclaimable.pop(0))
-            else:
-                planned.append(next_fresh)
-                next_fresh += 1
-        return planned
 
     def remove_graphs(self, graph_ids: Sequence[int]) -> int:
         """Remove graphs from the database and the index, without a rebuild.
@@ -1025,9 +927,12 @@ class Engine:
         The identifiers are retired (tombstoned), never renumbered, so
         every other graph keeps its id.  Returns the number of distinct
         index entries removed.  Removing an unknown or already-removed id
-        raises before anything is mutated.
+        raises before anything is mutated; an empty batch returns ``0``
+        and touches nothing.
         """
         graph_ids = list(graph_ids)
+        if not graph_ids:
+            return 0
         if len(set(graph_ids)) != len(graph_ids):
             raise EngineError(f"duplicate graph ids in removal batch: {graph_ids}")
         for graph_id in graph_ids:
@@ -1035,30 +940,29 @@ class Engine:
                 raise EngineError(
                     f"cannot remove graph id {graph_id}: not a live database graph"
                 )
-        lsn: Optional[int] = None
-        if self._wal is not None:
-            # Validation above means the record can always replay; commit
-            # it before the first in-memory mutation.
-            lsn = self._wal.append(
-                "remove", {"graph_ids": [int(graph_id) for graph_id in graph_ids]}
-            )
-        removed = 0
-        with self.index.epochs.write():
-            for graph_id in graph_ids:
-                self.database.remove(graph_id)
-                if (
-                    graph_id < self.index.num_graphs
-                    and graph_id not in self.index.removed_graph_ids
-                ):
-                    removed += self.index.remove_graph(graph_id)
+        # Validation above means the record can always replay; commit it
+        # before the first in-memory mutation.
+        lsn = log_removals(self._wal, graph_ids) if self._wal is not None else None
+        removed = apply_removals(self.database, self.index, graph_ids)
+        self._committed(lsn)
+        return removed
+
+    def _committed(self, lsn: Optional[int], changed: bool = True) -> None:
+        """Bookkeeping after a mutation batch has been applied.
+
+        Records the WAL position the in-memory state now folds in (when
+        ``lsn`` is given) and, when the index ``changed``, drops the
+        cached strategy and clears the result cache — the generation bump
+        already makes old entries unreachable; clearing releases their
+        memory immediately.
+        """
         if lsn is not None:
             self._wal_applied_lsn = lsn
             self.database.wal_position = lsn
-        self._strategy = None
-        self._shard_strategies = None
-        if self._result_cache is not None:
-            self._result_cache.clear()
-        return removed
+        if changed:
+            self._strategy = None
+            if self._result_cache is not None:
+                self._result_cache.clear()
 
     # ------------------------------------------------------------------
     # durability (write-ahead log)
@@ -1104,9 +1008,10 @@ class Engine:
         it: the index side replays records beyond the engine snapshot's
         position, the database side records beyond the database file's own
         position (a crash between the two atomic file writes leaves them
-        one batch apart).  Replaying the same operations the original
-        batch ran makes the recovered state — generations, revisions,
-        persisted bytes — identical to an uninterrupted run.
+        one batch apart).  Replay runs the same apply functions as the
+        live writes (:mod:`repro.engine.durability`), so the recovered
+        state — generations, revisions, persisted bytes — is identical to
+        an uninterrupted run.
 
         Returns the number of records applied.
         """
@@ -1115,58 +1020,23 @@ class Engine:
         database_lsn = int(getattr(self.database, "wal_position", 0) or 0)
         start_lsn = min(self._wal_applied_lsn, database_lsn)
         applied = 0
+        # One exclusive write epoch covers the whole replay; each
+        # record's apply joins it.
         with self.index.epochs.write():
             for record in self._wal.pending(start_lsn):
-                self._apply_wal_record(
+                apply_record(
+                    self.database,
+                    self.index,
                     record,
                     to_database=record.lsn > database_lsn,
                     to_index=record.lsn > self._wal_applied_lsn,
                 )
                 self._wal_applied_lsn = max(self._wal_applied_lsn, record.lsn)
                 applied += 1
-        self._wal_applied_lsn = max(self._wal_applied_lsn, database_lsn)
-        self.database.wal_position = self._wal_applied_lsn
-        if applied:
-            self._strategy = None
-            self._shard_strategies = None
-            if self._result_cache is not None:
-                self._result_cache.clear()
+        self._committed(
+            max(self._wal_applied_lsn, database_lsn), changed=applied > 0
+        )
         return applied
-
-    def _apply_wal_record(
-        self, record, to_database: bool = True, to_index: bool = True
-    ) -> None:
-        """Apply one committed WAL record to the selected stores."""
-        if record.op == "add":
-            for graph_id, graph_data in record.payload.get("graphs", []):
-                graph_id = int(graph_id)
-                graph = LabeledGraph.from_dict(graph_data)
-                if to_database:
-                    actual = (
-                        self.database.add(graph, graph_id=graph_id)
-                        if graph_id < self.database.id_bound
-                        else self.database.add(graph)
-                    )
-                    if actual != graph_id:
-                        raise WalError(
-                            f"WAL replay assigned graph id {actual} where the "
-                            f"record committed {graph_id}; the database does "
-                            "not match the log's base state"
-                        )
-                if to_index:
-                    self.index.add_graph(graph_id, graph)
-        elif record.op == "remove":
-            for graph_id in record.payload.get("graph_ids", []):
-                graph_id = int(graph_id)
-                if to_database:
-                    self.database.remove(graph_id)
-                if to_index and (
-                    graph_id < self.index.num_graphs
-                    and graph_id not in self.index.removed_graph_ids
-                ):
-                    self.index.remove_graph(graph_id)
-        else:
-            raise WalError(f"unknown WAL operation {record.op!r}")
 
     def checkpoint(
         self,
@@ -1212,25 +1082,35 @@ class Engine:
             query, sigma, self.fingerprint(), self.index.generation
         )
 
-    def _batch_cache_split(
-        self, queries: Sequence[LabeledGraph], sigma: float
-    ) -> Tuple[List[Optional[SearchResult]], List[Optional[Tuple]]]:
-        """Resolve a batch against the result cache.
+    def _cached_batch(
+        self,
+        queries: Sequence[LabeledGraph],
+        sigma: float,
+        compute: Callable[[List[LabeledGraph]], List[SearchResult]],
+    ) -> List[SearchResult]:
+        """Answer a batch from the result cache, computing only the misses.
 
-        Returns per-query ``(resolved, keys)`` lists in query order:
-        ``resolved[i]`` is the cached result (or ``None`` — still to
-        compute) and ``keys[i]`` the key to store a fresh result under.
         Used by the batch paths that bypass :meth:`search` (sharded
-        scatter, process chunks) so only the misses pay for computation.
+        scatter, process chunks): hits are served up front, the misses go
+        to ``compute`` in one call — a fully cached batch never calls it —
+        and the fresh results are cached.  Results come back in query
+        order.
         """
-        resolved: List[Optional[SearchResult]] = [None] * len(queries)
-        keys: List[Optional[Tuple]] = [None] * len(queries)
-        if self._result_cache is None:
-            return resolved, keys
-        for position, query in enumerate(queries):
-            keys[position] = self._cache_key(query, sigma)
-            resolved[position] = self._result_cache.get(keys[position])
-        return resolved, keys
+        keys = [self._cache_key(query, sigma) for query in queries]
+        results: List[Optional[SearchResult]] = [
+            self._result_cache.get(key) if key is not None else None
+            for key in keys
+        ]
+        missing = [
+            position for position, result in enumerate(results) if result is None
+        ]
+        if missing:
+            fresh = compute([queries[position] for position in missing])
+            for position, result in zip(missing, fresh):
+                results[position] = result
+                if keys[position] is not None:
+                    self._result_cache.put(keys[position], result)
+        return results
 
     def search(
         self,
@@ -1335,106 +1215,66 @@ class Engine:
             Per-query results in input order plus batch-level timing.
         """
         queries = list(queries)
+        start = time.perf_counter()
         if self.is_sharded:
-            executor_name = executor or self.config.executor
-            start = time.perf_counter()
-            # Serve cache hits up front and scatter only the misses; a
-            # fully-cached batch never touches the shards at all.
-            resolved, keys = self._batch_cache_split(queries, sigma)
-            missing = [
-                position
-                for position, result in enumerate(resolved)
-                if result is None
-            ]
-            if missing:
+            executor = executor or self.config.executor
+            workers = self.index.num_shards
+
+            def scatter(missing: List[LabeledGraph]) -> List[SearchResult]:
                 # One topology-level read pin covers the whole scatter;
                 # per-shard work nests under it without re-acquiring.
                 with self.index.epochs.read():
-                    fresh = self._scatter(
-                        [queries[position] for position in missing],
-                        sigma,
-                        verify_workers,
-                        executor_name,
-                    )
-                for position, result in zip(missing, fresh):
-                    resolved[position] = result
-                    if keys[position] is not None:
-                        self._result_cache.put(keys[position], result)
-            return BatchSearchResult(
-                sigma=sigma,
-                results=resolved,
-                wall_seconds=time.perf_counter() - start,
-                workers=self.index.num_shards,
-                executor=executor_name,
-            )
-        executor = executor or "thread"
-        if executor not in available_executors():
-            raise EngineConfigError(
-                f"unknown executor {executor!r}; "
-                f"available: {available_executors()}"
-            )
-        pool_size = 0 if executor == "serial" else int(workers or 0)
-        start = time.perf_counter()
-        if pool_size <= 1 or len(queries) <= 1:
-            results = [
-                self.search(query, sigma, verify_workers=verify_workers)
-                for query in queries
-            ]
-            return BatchSearchResult(
-                sigma=sigma,
-                results=results,
-                wall_seconds=time.perf_counter() - start,
-                workers=1,
-                executor="sequential",
-            )
-        if executor == "process":
-            # Workers receive a cold pickled engine (no result cache), so
-            # hits are served parent-side and only misses ship out.
-            resolved, keys = self._batch_cache_split(queries, sigma)
-            missing = [
-                position
-                for position, result in enumerate(resolved)
-                if result is None
-            ]
-            # One contiguous chunk per worker keeps engine pickling cost at
-            # O(workers) instead of O(queries); the executor layer degrades
-            # to serial where process pools are unavailable.
-            chunk_size = max(1, (len(missing) + pool_size - 1) // pool_size)
-            chunks = [
-                missing[position : position + chunk_size]
-                for position in range(0, len(missing), chunk_size)
-            ]
-            pool = self._executor("process", pool_size)
-            # Hold a read pin while the engine pickles into the workers so
-            # a concurrent writer cannot mutate the index mid-serialization.
-            with self.index.epochs.read():
-                chunk_results = pool.map(
-                    _search_chunk,
-                    [
-                        (self, [queries[i] for i in chunk], sigma, verify_workers)
-                        for chunk in chunks
-                    ],
-                )
-            for chunk, chunk_result in zip(chunks, chunk_results):
-                for position, result in zip(chunk, chunk_result):
-                    resolved[position] = result
-                    if keys[position] is not None:
-                        self._result_cache.put(keys[position], result)
-            results = resolved
+                    return self._scatter(missing, sigma, verify_workers, executor)
+
+            results = self._cached_batch(queries, sigma, scatter)
         else:
-            # "thread" and any other registered in-process executor share
-            # the engine directly, one task per query; :meth:`search`
-            # handles the result cache per query.
-            pool = self._executor(executor, pool_size)
-            results = pool.map(
-                lambda query: self.search(query, sigma, verify_workers=verify_workers),
-                queries,
-            )
+            executor = executor or "thread"
+            _check_executor(executor)
+            workers = 0 if executor == "serial" else int(workers or 0)
+            if workers <= 1 or len(queries) <= 1:
+                workers, executor = 1, "sequential"
+                results = [
+                    self.search(query, sigma, verify_workers=verify_workers)
+                    for query in queries
+                ]
+            elif executor == "process":
+
+                def in_chunks(missing: List[LabeledGraph]) -> List[SearchResult]:
+                    # Workers receive a cold pickled engine (no result
+                    # cache).  One contiguous chunk per worker keeps engine
+                    # pickling cost at O(workers) instead of O(queries);
+                    # the executor layer degrades to serial where process
+                    # pools are unavailable.
+                    size = max(1, (len(missing) + workers - 1) // workers)
+                    payloads = [
+                        (self, missing[position : position + size], sigma, verify_workers)
+                        for position in range(0, len(missing), size)
+                    ]
+                    pool = self._executor("process", workers)
+                    # Hold a read pin while the engine pickles into the
+                    # workers so a concurrent writer cannot mutate the
+                    # index mid-serialization.
+                    with self.index.epochs.read():
+                        chunks = pool.map(_search_chunk, payloads)
+                    return [result for chunk in chunks for result in chunk]
+
+                results = self._cached_batch(queries, sigma, in_chunks)
+            else:
+                # "thread" and any other registered in-process executor
+                # share the engine directly, one task per query;
+                # :meth:`search` handles the result cache per query, so a
+                # query repeated within the batch is a hit on its later
+                # occurrences.
+                pool = self._executor(executor, workers)
+                results = pool.map(
+                    lambda query: self.search(query, sigma, verify_workers=verify_workers),
+                    queries,
+                )
         return BatchSearchResult(
             sigma=sigma,
             results=results,
             wall_seconds=time.perf_counter() - start,
-            workers=pool_size,
+            workers=workers,
             executor=executor,
         )
 
@@ -1455,7 +1295,7 @@ class Engine:
             "format": ENGINE_FORMAT,
             "version": 1,
             "config": self.config.to_dict(),
-            "database_fingerprint": _database_fingerprint(self.database),
+            "database_fingerprint": database_fingerprint(self.database),
             "index": index_to_dict(self.index, wal_position=wal_position),
         }
 
@@ -1485,26 +1325,9 @@ class Engine:
                 config = config.replace(shards=index.num_shards)
         elif config.shards != 1:
             config = config.replace(shards=1)
-        if _defer_consistency:
-            return cls(database, config, index)
-        # Compare identifier bounds, not live counts: a database that has
-        # seen removals legitimately holds fewer live graphs than its id
-        # bound, and the index tracks the same bound.
-        database_bound = getattr(database, "id_bound", len(database))
-        if index.num_graphs != database_bound:
-            raise EngineError(
-                f"engine was built over {index.num_graphs} graph ids but the "
-                f"supplied database spans {database_bound}; load the engine "
-                "with the database it was built from"
-            )
-        stored = data.get("database_fingerprint")
-        if stored is not None and stored != _database_fingerprint(database):
-            raise EngineError(
-                "the supplied database does not match the one this engine "
-                f"was built from (fingerprint {stored} != "
-                f"{_database_fingerprint(database)}); index graph ids would "
-                "point at unrelated graphs"
-            )
+        if not _defer_consistency:
+            check_id_bound(index, database)
+            check_fingerprint(data.get("database_fingerprint"), database)
         return cls(database, config, index)
 
     def save(self, path: Union[str, Path]) -> None:
@@ -1583,30 +1406,14 @@ class Engine:
             # Both files describe the same pre-replay state, so the
             # fingerprint is checkable now — a foreign database must not
             # silently absorb someone else's log.
-            stored = data.get("database_fingerprint")
-            if stored is not None and stored != _database_fingerprint(database):
-                raise EngineError(
-                    "the supplied database does not match the one this "
-                    f"engine was built from (fingerprint {stored} != "
-                    f"{_database_fingerprint(database)}); refusing to "
-                    "replay its write-ahead log"
-                )
+            check_fingerprint(data.get("database_fingerprint"), database)
         # With records pending, the two files may legitimately disagree
-        # (crash between the database and engine writes); the cross-checks
-        # re-run below once replay has brought both forward.
+        # (crash between the database and engine writes); the id bounds
+        # are checked below, once replay has brought both forward.
         engine = cls.from_dict(data, database, _defer_consistency=pending)
         if engine.config.durability != "wal":
             engine.config = engine.config.replace(durability="wal")
-        engine._wal = wal
-        engine._wal_applied_lsn = snapshot_lsn
-        engine.replay_wal()
+        engine.attach_wal(wal, applied_lsn=snapshot_lsn)
         if pending:
-            database_bound = getattr(database, "id_bound", len(database))
-            if engine.index.num_graphs != database_bound:
-                raise WalError(
-                    f"WAL replay left the index spanning "
-                    f"{engine.index.num_graphs} graph ids but the database "
-                    f"spans {database_bound}; the log does not belong to "
-                    "this database/engine pair"
-                )
+            check_id_bound(engine.index, database, error=WalError)
         return engine

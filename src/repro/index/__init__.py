@@ -9,12 +9,7 @@ from .backends import (
 )
 from .bitset import bit_count, bits_from_ids, full_mask, ids_from_bits
 from .class_index import EquivalenceClassIndex
-from .fragment_index import (
-    FragmentIndex,
-    FragmentStatistics,
-    IndexStats,
-    QueryFragment,
-)
+from .fragment_index import FragmentIndex, IndexStats, QueryFragment
 from .persistence import (
     index_from_dict,
     index_to_dict,
@@ -48,7 +43,6 @@ __all__ = [
     "FragmentSequencer",
     "EquivalenceClassIndex",
     "FragmentIndex",
-    "FragmentStatistics",
     "QueryFragment",
     "IndexStats",
     "ShardedFragmentIndex",

@@ -39,7 +39,6 @@ from-scratch rebuild over the same final database would.
 
 from __future__ import annotations
 
-import math
 import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
@@ -51,11 +50,10 @@ from ..core.errors import FeatureNotIndexedError, IndexError_, IndexNotBuiltErro
 from ..core.graph import LabeledGraph, edge_key
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters, graph_signature
 from ..store.epoch import EpochManager
-from .bitset import bits_from_ids
 from .class_index import EquivalenceClassIndex
 from .sequence import FragmentSequencer
 
-__all__ = ["FragmentIndex", "FragmentStatistics", "QueryFragment", "IndexStats"]
+__all__ = ["FragmentIndex", "QueryFragment", "IndexStats"]
 
 AnnotationSequence = Tuple[Any, ...]
 EdgeKey = Tuple[Hashable, Hashable]
@@ -97,31 +95,6 @@ class QueryFragment:
     def overlaps(self, other: "QueryFragment") -> bool:
         """Vertex-overlap test used by the overlapping-relation graph."""
         return bool(self.vertices & other.vertices)
-
-
-@dataclass(frozen=True)
-class FragmentStatistics:
-    """Aggregated range-result statistics of one fragment at one threshold.
-
-    The pair ``(|T|, sum of matched distances)`` is all a selectivity
-    estimate needs (Definition 5): shards report these instead of full
-    distance maps, and the global planner merges them by summing.  The sum
-    is exactly rounded (:func:`math.fsum`), so merged statistics are
-    bit-identical regardless of how the database is sharded.
-    """
-
-    num_matching_graphs: int
-    matched_distance_sum: float
-
-    def merge(self, other: "FragmentStatistics") -> "FragmentStatistics":
-        """Combine statistics from two disjoint database partitions."""
-        return FragmentStatistics(
-            num_matching_graphs=self.num_matching_graphs
-            + other.num_matching_graphs,
-            matched_distance_sum=math.fsum(
-                (self.matched_distance_sum, other.matched_distance_sum)
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -699,61 +672,18 @@ class FragmentIndex:
     ) -> Dict[int, float]:
         """Range query for one query fragment: ``{graph_id: min distance}``.
 
-        The returned mapping may be shared with the memo cache — treat it as
-        read-only.
-        """
-        distances, _ = self.range_query_with_bits(fragment, sigma, want_bits=False)
-        return distances
-
-    def range_query_with_bits(
-        self, fragment: QueryFragment, sigma: float, want_bits: bool = True
-    ) -> Tuple[Dict[int, float], Optional[int]]:
-        """Range query returning ``(distances, bitset of matched ids)``.
-
-        The bitset packs the keys of the distance mapping
-        (:mod:`repro.index.bitset`), letting the search intersect candidate
-        sets with bitwise ANDs.  It is computed lazily — only when
-        ``want_bits`` is true, so the legacy set-based path never pays for
-        packing — and memoized per ``(class, sequence, sigma)`` alongside
-        the distances.  The returned mapping must not be mutated.
+        Memoized per ``(class, sequence, sigma)``.  The returned mapping is
+        shared with the memo cache — treat it as read-only.
         """
         key = (fragment.code, fragment.sequence, sigma)
-        entry = self._range_cache.get(key)
-        if entry is MemoCache.MISS:
+        distances = self._range_cache.get(key)
+        if distances is MemoCache.MISS:
             with self.counters.timer("range_query"):
                 distances = self.get_class(fragment.code).range_query(
                     fragment.sequence, sigma
                 )
-            # Mutable [distances, bits-or-None] so a later bit-wanting call
-            # can fill the bitset in place for subsequent cache hits.
-            entry = [distances, None]
-            self._range_cache.put(key, entry)
-        if want_bits and entry[1] is None:
-            try:
-                entry[1] = bits_from_ids(entry[0])
-            except (TypeError, ValueError):
-                # Exotic graph ids that don't fit a bitset; callers consult
-                # FragmentIndex.supports_bitsets before trusting the bits.
-                entry[1] = 0
-        return entry[0], entry[1]
-
-    def fragment_statistics(
-        self, fragment: QueryFragment, sigma: float
-    ) -> FragmentStatistics:
-        """Aggregated range-result statistics for one fragment.
-
-        This is the per-shard statistics API the global planner builds on:
-        it reuses the memoized range query (so a later
-        :meth:`range_query_with_bits` for the same ``(fragment, sigma)`` is
-        a cache hit, not repeated work) and reduces the distance map to the
-        ``(|T|, exact matched-distance sum)`` pair selectivity estimation
-        needs.
-        """
-        distances, _ = self.range_query_with_bits(fragment, sigma, want_bits=False)
-        return FragmentStatistics(
-            num_matching_graphs=len(distances),
-            matched_distance_sum=math.fsum(distances.values()),
-        )
+            self._range_cache.put(key, distances)
+        return distances
 
     def __repr__(self) -> str:
         low, high = self.fragment_size_range()

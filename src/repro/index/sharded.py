@@ -32,7 +32,6 @@ merge so engine code and tests share one implementation.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import (
@@ -55,12 +54,7 @@ from ..exec import make_executor
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters
 from ..search.results import PruningReport, SearchResult
 from ..store.epoch import EpochManager
-from .fragment_index import (
-    FragmentIndex,
-    FragmentStatistics,
-    IndexStats,
-    QueryFragment,
-)
+from .fragment_index import FragmentIndex, IndexStats, QueryFragment
 
 __all__ = [
     "ShardedFragmentIndex",
@@ -369,12 +363,6 @@ class ShardedFragmentIndex:
         self._distance_cache = MemoCache(
             "verify_distance", maxsize=65536, counters=self.counters
         )
-        # Per-generation global selectivity statistics: the planner asks for
-        # merged (|T|, distance-sum) pairs per (fragment, sigma), and the
-        # generation in the key lets mutations invalidate without clearing.
-        self._stats_cache = MemoCache(
-            "global_stats", maxsize=4096, counters=self.counters
-        )
         # Per-generation merged range results.  The planner's range queries
         # repeat fragments across queries; without this memo every repeat
         # would re-merge all the shard maps, multiplying a cache hit's cost
@@ -575,71 +563,23 @@ class ShardedFragmentIndex:
                 shard.prewarm_query_fragments(query, fragments)
 
     def range_query(self, fragment: QueryFragment, sigma: float) -> Dict[int, float]:
-        """Merged range query over all shards (ids are disjoint)."""
-        distances, _ = self.range_query_with_bits(fragment, sigma, want_bits=False)
-        return distances
+        """Merged range query over all shards.
 
-    def range_query_with_bits(
-        self, fragment: QueryFragment, sigma: float, want_bits: bool = True
-    ) -> Tuple[Dict[int, float], Optional[int]]:
-        """Merged range query returning ``(distances, OR of shard bitsets)``.
-
-        Memoized per ``(fragment, sigma, generation)`` like
-        :meth:`fragment_statistics`: shard ids are disjoint, so the merged
-        map is a plain union, and the generation key lets mutations
-        invalidate without an explicit clear.  The bitset is filled into
-        the cache entry lazily, mirroring the unsharded index.  The
-        returned mapping must not be mutated.
+        Shard ids are disjoint, so the merged map is a plain union: its
+        length is the global ``|T|``, and the planner's exactly rounded
+        :func:`math.fsum` over its values makes selectivities bit-identical
+        to an unsharded index's.  Memoized per ``(fragment, sigma,
+        generation)``, so mutations invalidate without an explicit clear.
+        The returned mapping must not be mutated.
         """
         key = (fragment.code, fragment.sequence, float(sigma), self.generation)
-        entry = self._range_cache.get(key)
-        if entry is MemoCache.MISS:
-            merged: Dict[int, float] = {}
+        merged = self._range_cache.get(key)
+        if merged is MemoCache.MISS:
+            merged = {}
             for shard in self.shards:
-                distances, _ = shard.range_query_with_bits(
-                    fragment, sigma, want_bits=False
-                )
-                merged.update(distances)
-            entry = [merged, None]
-            self._range_cache.put(key, entry)
-        if want_bits and entry[1] is None:
-            bits = 0
-            for shard in self.shards:
-                _, shard_bits = shard.range_query_with_bits(
-                    fragment, sigma, want_bits=True
-                )
-                bits |= shard_bits or 0
-            entry[1] = bits
-        return entry[0], entry[1]
-
-    def fragment_statistics(
-        self, fragment: QueryFragment, sigma: float
-    ) -> FragmentStatistics:
-        """Globally merged range-result statistics for one fragment.
-
-        Walks every shard's (memoized) range query and reduces the union to
-        one ``(|T|, matched-distance sum)`` pair.  The sum is a single
-        exactly-rounded :func:`math.fsum` over *all* matched distances, so
-        the result is bit-identical to what an unsharded index computes over
-        the same database — the property that lets a global planner produce
-        the same partition for every topology.  Memoized per
-        ``(fragment, sigma, generation)``: mutations bump the generation,
-        invalidating stale statistics without an explicit clear.
-        """
-        key = (fragment.code, fragment.sequence, float(sigma), self.generation)
-        cached = self._stats_cache.get(key)
-        if cached is not MemoCache.MISS:
-            return cached
-        # Shard ids are disjoint, so the merged map's length is the global
-        # |T| and math.fsum over its values — exactly rounded, therefore
-        # order-independent — equals the fsum over any per-shard ordering.
-        distances = self.range_query(fragment, sigma)
-        statistics = FragmentStatistics(
-            num_matching_graphs=len(distances),
-            matched_distance_sum=math.fsum(distances.values()),
-        )
-        self._stats_cache.put(key, statistics)
-        return statistics
+                merged.update(shard.range_query(fragment, sigma))
+            self._range_cache.put(key, merged)
+        return merged
 
     # ------------------------------------------------------------------
     # caches / counters
@@ -652,7 +592,6 @@ class ShardedFragmentIndex:
     def clear_caches(self) -> None:
         """Drop the merged-view caches and every shard's memo caches."""
         self._distance_cache.clear()
-        self._stats_cache.clear()
         self._range_cache.clear()
         for shard in self.shards:
             shard.clear_caches()
@@ -661,7 +600,6 @@ class ShardedFragmentIndex:
         """Accounting of the merged-view caches plus every shard's caches."""
         stats = [
             self._distance_cache.stats(),
-            self._stats_cache.stats(),
             self._range_cache.stats(),
         ]
         for shard in self.shards:

@@ -21,13 +21,12 @@ This module hoists planning into a single global step:
   computes it once and ships it to every shard task, whose execution
   shrinks to restricting the global outcome to the shard's live ids.
 * :class:`GlobalPlanner` — builds plans from *merged* range results
-  (``range_query`` on an unsharded
-  :class:`~repro.index.FragmentIndex`, the shard-merging twin on a
-  ``ShardedFragmentIndex``): the correct global ``n`` and exactly-rounded
-  global distance sums (:func:`math.fsum` is order-independent), so the
-  plan — and therefore every downstream candidate set and report — is
-  bit-identical whether the database lives in one index or sixty-four
-  shards.  Plans are memoized in a bounded
+  (``range_query`` of an unsharded :class:`~repro.index.FragmentIndex`
+  or, merged across shards, of a ``ShardedFragmentIndex``): the correct
+  global ``n`` and exactly-rounded global distance sums (:func:`math.fsum`
+  is order-independent), so the plan — and therefore every downstream
+  candidate set and report — is bit-identical whether the database lives
+  in one index or sixty-four shards.  Plans are memoized in a bounded
   :class:`~repro.perf.MemoCache` keyed
   ``(graph_signature(query), sigma, cutoff_lambda, index.generation)``:
   mutations bump the generation, so stale plans can never hit.
@@ -213,8 +212,9 @@ class GlobalPlanner:
         The index to plan over — an unsharded
         :class:`~repro.index.FragmentIndex` or a
         :class:`~repro.index.ShardedFragmentIndex`; both expose
-        ``enumerate_query_fragments``, ``fragment_statistics``, and
-        ``generation``, which is the planner's entire index contract.
+        ``enumerate_query_fragments``, ``range_query``,
+        ``num_live_graphs``, and ``generation``, which is the planner's
+        entire index contract.
     epsilon / cutoff_lambda / partition_method / partition_k:
         The pruning parameters, identical in meaning to
         :class:`~repro.search.pis.PISearch`.

@@ -11,7 +11,10 @@ Format
 A log is a directory of segment files named ``wal-<first-lsn>.log``.  Each
 segment is a sequence of JSON lines::
 
-    {"lsn": 7, "op": "add", "payload": {...}, "crc": 2693572943}
+    {"lsn": 7, "op": "<op>", "payload": {...}, "crc": 2693572943}
+
+The log is agnostic of what ``op`` and ``payload`` mean; the engine's
+records are defined in :mod:`repro.engine.durability`.
 
 ``lsn`` (log sequence number) increases by one per record across segments.
 ``crc`` is the CRC-32 of the canonical JSON encoding of the record without
@@ -117,10 +120,10 @@ class WriteAheadLog:
 
     >>> import tempfile
     >>> wal = WriteAheadLog(tempfile.mkdtemp())
-    >>> wal.append("add", {"ids": [0, 1]})
+    >>> wal.append("note", {"ids": [0, 1]})
     1
     >>> [record.op for record in wal.records()]
-    ['add']
+    ['note']
     """
 
     def __init__(self, directory, max_segment_bytes: int = 4 * 1024 * 1024):

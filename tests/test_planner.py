@@ -2,9 +2,8 @@
 
 Covers :class:`repro.search.planner.GlobalPlanner` /
 :class:`~repro.search.planner.QueryPlan` (plan-once caching, generation
-keying, pickling), the merged global fragment statistics
-(:meth:`FragmentIndex.fragment_statistics` vs. the sharded merge —
-bit-identical selectivity inputs), the plan/execute split in
+keying, pickling), the global selectivities (planned over an unsharded
+and a 4-shard index — bit-identical), the plan/execute split in
 :class:`~repro.search.pis.PISearch` (byte-identical outcomes to the
 legacy filter), the randomized property test — planned sharded search
 byte-identical (ids + distances + reports) to unsharded across 1/2/4
@@ -30,7 +29,7 @@ from repro.core.errors import EngineConfigError
 from repro.datasets.generator import generate_chemical_database
 from repro.datasets.queries import QueryWorkload
 from repro.engine import Engine, EngineConfig
-from repro.index import FragmentIndex, FragmentStatistics, ShardedFragmentIndex
+from repro.index import FragmentIndex, ShardedFragmentIndex
 from repro.mining.exhaustive import ExhaustiveFeatureSelector
 from repro.reference import ReferenceSearch
 from repro.search import GlobalPlanner, PISearch, QueryPlan
@@ -99,50 +98,25 @@ class TestFragmentStatistics:
         )
         return unsharded, sharded
 
-    def test_matches_range_query(self, indexes, database):
-        import math
-
-        unsharded, _ = indexes
-        query = QueryWorkload(database, seed=5).sample_queries(5, 1)[0]
-        for fragment in unsharded.enumerate_query_fragments(query):
-            distances = unsharded.range_query(fragment, 2.0)
-            stats = unsharded.fragment_statistics(fragment, 2.0)
-            assert stats.num_matching_graphs == len(distances)
-            assert stats.matched_distance_sum == math.fsum(distances.values())
-
     def test_sharded_bit_identical_to_unsharded(self, indexes, database):
         """The selectivity inputs — count and exact sum — never drift.
 
-        The sharded path computes ONE global fsum over every shard's
-        matches (fsum of per-shard fsums would differ in the last bit),
-        so the derived selectivities, and therefore the MWIS partition,
-        are identical on every topology.
+        The sharded index merges every shard's range results before the
+        planner takes ONE global fsum (fsum of per-shard fsums would
+        differ in the last bit), so the selectivities, and therefore the
+        MWIS partition, are identical on every topology.
         """
         unsharded, sharded = indexes
         query = QueryWorkload(database, seed=5).sample_queries(5, 1)[0]
-        for fragment in unsharded.enumerate_query_fragments(query):
-            for sigma in (1.0, 2.0, 3.0):
-                assert sharded.fragment_statistics(
-                    fragment, sigma
-                ) == unsharded.fragment_statistics(fragment, sigma)
-
-    def test_merge_is_exact_on_counts(self):
-        left = FragmentStatistics(3, 1.5)
-        right = FragmentStatistics(2, 0.25)
-        merged = left.merge(right)
-        assert merged.num_matching_graphs == 5
-        assert merged.matched_distance_sum == 1.75
-
-    def test_sharded_statistics_are_cached(self, indexes, database):
-        _, sharded = indexes
-        query = QueryWorkload(database, seed=5).sample_queries(5, 1)[0]
-        fragment = sharded.enumerate_query_fragments(query)[0]
-        before = sharded.counters.get("global_stats.cache_hits", 0.0)
-        sharded.fragment_statistics(fragment, 2.5)
-        sharded.fragment_statistics(fragment, 2.5)
-        assert sharded.counters.get("global_stats.cache_hits", 0.0) > before
-        names = [stats["name"] for stats in sharded.cache_stats()]
-        assert "global_stats" in names
+        for sigma in (1.0, 2.0, 3.0):
+            single = GlobalPlanner(unsharded).plan(query, sigma)
+            merged = GlobalPlanner(sharded).plan(query, sigma)
+            assert single.fragments
+            assert merged.fragments == single.fragments
+            assert merged.selectivities == single.selectivities
+            assert merged.partition_positions == single.partition_positions
+            assert merged.structure_candidates == single.structure_candidates
+            assert merged.lower_bounds == single.lower_bounds
 
 
 # ----------------------------------------------------------------------

@@ -331,15 +331,17 @@ class TestScatterGatherEquivalence:
                     reference.search(engine.database, engine.index, query, 1.0)
                 ) == expected
 
-    def test_filter_only_mode(self, engines, queries):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_filter_only_mode(self, engines, queries, executor):
         plain, sharded = engines
-        sharded.config = sharded.config.replace(verify=False)
+        sharded.config = sharded.config.replace(verify=False, executor=executor)
         plain.config = plain.config.replace(verify=False)
         try:
             for query in queries:
                 merged = sharded.search(query, 1.0)
                 single = plain.search(query, 1.0)
                 assert merged.answer_ids == [] == single.answer_ids
+                assert merged.candidate_ids == single.candidate_ids
                 assert merged.report.num_candidates == len(merged.candidate_ids)
         finally:
             sharded.config = sharded.config.replace(verify=True)

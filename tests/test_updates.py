@@ -613,6 +613,21 @@ class TestEngineUpdates:
         with pytest.raises(EngineError):
             engine.remove_graphs([4])
 
+    def test_empty_batches_touch_nothing(self, engine, tmp_path):
+        """An empty add/remove batch logs no record and keeps the caches."""
+        engine.attach_wal(tmp_path / "engine.json.wal")
+        query = QueryWorkload(engine.database, seed=9).sample_queries(4, 1)[0]
+        with engine:
+            engine.search(query, 2.0)
+            generation = engine.index.generation
+            assert engine.add_graphs([]) == []
+            assert engine.remove_graphs([]) == 0
+            assert engine.wal_applied_lsn == 0
+            assert list(engine.wal.records()) == []
+            assert engine.index.generation == generation
+            assert len(engine.result_cache) == 1
+            assert engine.search(query, 2.0).from_cache
+
     def test_mutated_engine_roundtrips(self, engine, tmp_path):
         engine.remove_graphs([0])
         engine.add_graphs(list(generate_chemical_database(1, seed=302)))
