@@ -18,23 +18,6 @@ adds + removes applied through ``FragmentIndex.add_graph`` /
 ``remove_graph`` versus a from-scratch rebuild over the same final
 database, with byte-identical search answers required from both indexes.
 
-Two **sharding workloads** protect the sharded engine (PR 5):
-
-* ``sharded_search`` — full scatter-gather searches on a 4-shard engine
-  with the process executor versus the same searches on a 1-shard serial
-  engine (both cold-cache); answer ids and distances must be byte-identical
-  and the speedup must meet ``--min-sharded-speedup`` (default 1.5×).
-* ``sharded_build`` — a 4-shard build in 4 worker processes (enumeration
-  *and* backend insertion parallelized) versus the serial unsharded build;
-  the parallel-built shards must serialize byte-identically to serially
-  built ones and the speedup must meet ``--min-sharded-build-speedup``
-  (default 1.0×).
-
-Both sharding speedup floors (and their baseline regression checks) are
-enforced only on machines with at least 2 CPU cores — a single-core runner
-cannot exhibit process parallelism — but the byte-identity requirements
-hold everywhere.
-
 A **serving workload** (PR 6) protects the always-on serving subsystem:
 ``serving_throughput`` starts the engine in resident mode behind an
 in-process :class:`repro.serve.QueryServer` and drives it with 4 concurrent
@@ -60,27 +43,14 @@ serves either side, so each search pays its full verification cost —
 once on the recursive reference search (``ReferenceSearch``) and once on
 the production path with the array kernel and the bounded verifier, every
 cache cleared before each search.  Answer ids and exact distances must be
-byte-identical, a 4-shard engine running the kernel must answer
-byte-identically too, and the verify-phase speedup must meet
+byte-identical, and the verify-phase speedup must meet
 ``--min-kernel-speedup`` (default 3×).  The per-path
 ``verify.nodes_expanded`` counters are recorded so pruning power stays
 observable in the history file.
 
-A **planner workload** (PR 9) protects plan-once scatter-gather:
-``global_plan`` answers the same full searches on a 4-shard serial engine
-and a 1-shard engine and compares **total filter-phase work** (summed
-``filter.seconds`` + ``plan.seconds`` across all shards).  With the global
-planner shipping one plan to every shard, the 4-shard total must stay
-within ``--max-plan-ratio`` (default 1.3×) of the single-shard cost — the
-legacy per-shard planning path is measured alongside for reference —
-answers must be byte-identical across topologies, and a warm repeat pass
-must be served from the plan cache (``plan.cache_hits`` observed).  Work
-totals are executor-independent, so this gate holds on single-core
-machines too.
-
 It asserts the two paths return **identical candidate sets** (filter
 workloads) and **identical answer ids and distances** (verify, update,
-sharding, and serving workloads), records the speedups plus counter deltas
+and serving workloads), records the speedups plus counter deltas
 into the ``gate`` section of ``benchmarks/history/BENCH_pr10.json``, and
 exits non-zero when
 
@@ -93,7 +63,7 @@ exits non-zero when
 * the incremental-update speedup over a rebuild is below
   ``--min-update-speedup`` (default 2×),
 * the warm-over-cold serving speedup is below ``--min-serving-speedup``,
-* a sharding floor is violated on a multi-core machine, or
+* a serving_mixed invariant breaks, or
 * any workload regresses more than ``--tolerance`` (default 20%) against
   the checked-in baseline (``--check-baseline benchmarks/BENCH_baseline.json``).
 
@@ -126,8 +96,6 @@ from repro.engine import Engine  # noqa: E402
 from repro.experiments import build_environment  # noqa: E402
 from repro.index.fragment_index import FragmentIndex  # noqa: E402
 from repro.index.persistence import index_to_dict  # noqa: E402
-from repro.index.sharded import ShardedFragmentIndex  # noqa: E402
-from repro.index.sharded import ShardDatabaseView, merge_search_results  # noqa: E402
 from repro.perf import GLOBAL_COUNTERS  # noqa: E402
 from repro.reference import ReferenceSearch  # noqa: E402
 from repro.search.pis import PISearch  # noqa: E402
@@ -146,17 +114,11 @@ WORKLOADS = (
 #: the verification workload: full searches on the figure10 query set
 VERIFY_WORKLOAD = ("figure10_verify", 24, (1.0, 3.0, 5.0), 2)
 
-#: the kernel workload: (name, query edges, sigmas, rounds, shard count)
-KERNEL_WORKLOAD = ("verify_kernel", 24, (1.0, 3.0, 5.0), 2, 4)
+#: the kernel workload: (name, query edges, sigmas, rounds)
+KERNEL_WORKLOAD = ("verify_kernel", 24, (1.0, 3.0, 5.0), 2)
 
 #: the incremental-update workload: (name, churn fraction, query edges, sigmas)
 UPDATE_WORKLOAD = ("incremental_update", 0.1, 16, (1.0, 2.0))
-
-#: the sharded-search workload: (name, query edges, sigmas, shard count)
-SHARDED_WORKLOAD = ("sharded_search", 24, (1.0, 3.0, 5.0), 4)
-
-#: the sharded-build workload: (name, shard count)
-SHARDED_BUILD_WORKLOAD = ("sharded_build", 4)
 
 #: the serving workload: (name, query edges, sigma, concurrent clients)
 SERVING_WORKLOAD = ("serving_throughput", 16, 2.0, 4)
@@ -164,18 +126,6 @@ SERVING_WORKLOAD = ("serving_throughput", 16, 2.0, 4)
 #: the mixed read/write serving workload:
 #: (name, query edges, sigma, search clients, update batches, max queue)
 SERVING_MIXED_WORKLOAD = ("serving_mixed", 12, 2.0, 4, 3, 3)
-
-#: the global-planner workload: (name, query edges, sigmas, shard count,
-#: query count).  The batch is deliberately larger than the quick-mode
-#: query sets: planning cost amortizes over the fragment overlap between
-#: queries (the serving-shaped workload the planner exists for), and a
-#: 4-query batch would mostly measure per-shard range-walk constants.
-GLOBAL_PLAN_WORKLOAD = ("global_plan", 16, (1.0, 2.0), 4, 32)
-
-#: workloads whose *speedup* floors need real parallel hardware; their
-#: byte-identity checks are enforced everywhere regardless
-PARALLEL_WORKLOADS = frozenset({"sharded_search", "sharded_build"})
-
 
 def _clear_caches(environment) -> None:
     environment.index.clear_caches()
@@ -276,7 +226,7 @@ def run_verify_workload(environment, name, query_edges, sigmas, rounds):
     return record
 
 
-def run_kernel_workload(environment, name, query_edges, sigmas, rounds, num_shards):
+def run_kernel_workload(environment, name, query_edges, sigmas, rounds):
     """Measure the array superposition kernel against the recursive search.
 
     Unlike :func:`run_verify_workload`, **both** sides run cold: no memo
@@ -290,8 +240,7 @@ def run_kernel_workload(environment, name, query_edges, sigmas, rounds, num_shar
       bounded verifier, with the distance/range/fragment/plan caches
       cleared before every search.
 
-    Answer ids and exact distances must be byte-identical, and a 4-shard
-    engine running the kernel must scatter-gather to the same answers.
+    Answer ids and exact distances must be byte-identical.
     The ``verify.nodes_expanded`` counter deltas of both paths are
     recorded so the pruning behaviour of the suffix bounds stays visible.
     """
@@ -320,42 +269,12 @@ def run_kernel_workload(environment, name, query_edges, sigmas, rounds, num_shar
 
     identical = legacy_answers == kernel_answers
 
-    # Sharded byte-identity: the same searches on a 4-shard engine running
-    # the kernel must merge to the identical answer payload.
-    sharded_index = ShardedFragmentIndex.build(
-        environment.database,
-        environment.features,
-        environment.measure,
-        num_shards=num_shards,
-        backend=environment.index.backend_name,
-        backend_options=environment.index.backend_options,
-    )
-    sharded_engine = Engine.from_index(
-        environment.database, sharded_index, executor="serial"
-    )
-    sharded_answers = []
-    for _ in range(rounds):
-        for query in queries:
-            for sigma in sigmas:
-                result = sharded_engine.search(query, sigma)
-                sharded_answers.append(
-                    [
-                        result.answer_ids,
-                        {
-                            str(graph_id): result.answer_distances[graph_id]
-                            for graph_id in result.answer_ids
-                        },
-                    ]
-                )
-    sharded_identical = sharded_answers == kernel_answers
-
     blob = json.dumps(kernel_answers).encode("utf-8")
     record = {
         "query_edges": query_edges,
         "num_queries": len(queries),
         "sigmas": list(sigmas),
         "rounds": rounds,
-        "num_shards": num_shards,
         "legacy_verify_seconds": round(legacy_verify, 6),
         "kernel_verify_seconds": round(kernel_verify, 6),
         "legacy_total_seconds": round(legacy_total, 6),
@@ -364,13 +283,12 @@ def run_kernel_workload(environment, name, query_edges, sigmas, rounds, num_shar
         "legacy_nodes_expanded": legacy_counters.get("verify.nodes_expanded", 0.0),
         "kernel_nodes_expanded": kernel_counters.get("verify.nodes_expanded", 0.0),
         "answers_identical": identical,
-        "sharded_answers_identical": sharded_identical,
         "answers_sha256": hashlib.sha256(blob).hexdigest(),
     }
     print(
         f"{name}: legacy verify {legacy_verify:.3f}s, kernel verify "
         f"{kernel_verify:.3f}s -> {record['speedup']:.2f}x speedup, "
-        f"identical={identical}, sharded-identical={sharded_identical}, "
+        f"identical={identical}, "
         f"nodes {legacy_counters.get('verify.nodes_expanded', 0.0):.0f} -> "
         f"{kernel_counters.get('verify.nodes_expanded', 0.0):.0f}"
     )
@@ -469,133 +387,6 @@ def _answers_payload(batch):
         ]
         for result in batch
     ]
-
-
-def run_sharded_workload(environment, name, query_edges, sigmas, num_shards):
-    """Measure 4-shard process scatter-gather vs 1-shard serial search.
-
-    Both engines answer the same full searches (filter *and* verify) over
-    the same database; every ``search_many`` call starts cold (all memo
-    caches cleared) so neither side banks cross-call cache reuse the other
-    cannot have.  Answer ids and exact distances must be byte-identical —
-    the sharded engine is required to be indistinguishable from the
-    unsharded one in everything but wall clock.
-    """
-    queries = environment.workload.sample_queries(
-        num_edges=query_edges, count=environment.config.queries_per_set
-    )
-    serial_engine = Engine.from_index(environment.database, environment.index)
-    sharded_index = ShardedFragmentIndex.build(
-        environment.database,
-        environment.features,
-        environment.measure,
-        num_shards=num_shards,
-        backend=environment.index.backend_name,
-        backend_options=environment.index.backend_options,
-    )
-    sharded_engine = Engine.from_index(
-        environment.database, sharded_index, executor="process"
-    )
-
-    serial_seconds = 0.0
-    sharded_seconds = 0.0
-    serial_answers = []
-    sharded_answers = []
-    for sigma in sigmas:
-        _clear_caches(environment)
-        start = time.perf_counter()
-        batch = serial_engine.search_many(queries, sigma, executor="serial")
-        serial_seconds += time.perf_counter() - start
-        serial_answers.extend(_answers_payload(batch))
-
-        sharded_index.clear_caches()
-        structure_code_cache().clear()
-        start = time.perf_counter()
-        batch = sharded_engine.search_many(queries, sigma, executor="process")
-        sharded_seconds += time.perf_counter() - start
-        sharded_answers.extend(_answers_payload(batch))
-
-    identical = serial_answers == sharded_answers
-    blob = json.dumps(sharded_answers).encode("utf-8")
-    record = {
-        "query_edges": query_edges,
-        "num_queries": len(queries),
-        "sigmas": list(sigmas),
-        "num_shards": num_shards,
-        "cpu_count": os.cpu_count() or 1,
-        "serial_seconds": round(serial_seconds, 6),
-        "sharded_seconds": round(sharded_seconds, 6),
-        "speedup": round(serial_seconds / max(sharded_seconds, 1e-9), 3),
-        "answers_identical": identical,
-        "answers_sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    print(
-        f"{name}: 1-shard serial {serial_seconds:.3f}s, {num_shards}-shard "
-        f"process {sharded_seconds:.3f}s -> {record['speedup']:.2f}x speedup, "
-        f"identical={identical}"
-    )
-    return record
-
-
-def run_sharded_build_workload(environment, name, num_shards):
-    """Measure a parallel 4-shard build vs the serial unsharded build.
-
-    The parallel build constructs whole shards — fragment enumeration *and*
-    backend insertion — in worker processes; it must serialize
-    byte-identically to a serially built sharded index, so the speedup can
-    never come from doing different work.
-    """
-    database = environment.database
-    features = environment.features
-    measure = environment.measure
-    backend = environment.index.backend_name
-    backend_options = environment.index.backend_options
-
-    start = time.perf_counter()
-    FragmentIndex(
-        features, measure, backend=backend, backend_options=backend_options
-    ).build(database)
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel_sharded = ShardedFragmentIndex.build(
-        database,
-        features,
-        measure,
-        num_shards=num_shards,
-        backend=backend,
-        backend_options=backend_options,
-        workers=num_shards,
-    )
-    parallel_seconds = time.perf_counter() - start
-
-    serial_sharded = ShardedFragmentIndex.build(
-        database,
-        features,
-        measure,
-        num_shards=num_shards,
-        backend=backend,
-        backend_options=backend_options,
-    )
-    parallel_payload = json.dumps(index_to_dict(parallel_sharded)).encode("utf-8")
-    serial_payload = json.dumps(index_to_dict(serial_sharded)).encode("utf-8")
-    identical = parallel_payload == serial_payload
-    record = {
-        "database_size": len(database),
-        "num_shards": num_shards,
-        "cpu_count": os.cpu_count() or 1,
-        "serial_build_seconds": round(serial_seconds, 6),
-        "parallel_sharded_seconds": round(parallel_seconds, 6),
-        "speedup": round(serial_seconds / max(parallel_seconds, 1e-9), 3),
-        "shards_identical": identical,
-        "shards_sha256": hashlib.sha256(parallel_payload).hexdigest(),
-    }
-    print(
-        f"{name}: serial build {serial_seconds:.3f}s, {num_shards}-shard "
-        f"parallel build {parallel_seconds:.3f}s -> "
-        f"{record['speedup']:.2f}x speedup, identical={identical}"
-    )
-    return record
 
 
 def run_serving_workload(environment, name, query_edges, sigma, clients):
@@ -831,153 +622,6 @@ def run_serving_mixed_workload(
     return record
 
 
-def run_global_plan_workload(
-    environment, name, query_edges, sigmas, num_shards, num_queries
-):
-    """Measure total filter-phase work: 4-shard plan-once vs 1-shard.
-
-    Both engines run the same full searches on the serial executor, so the
-    comparison is **work**, not wall-clock parallelism: the sum of
-    ``filter.seconds`` (per-shard plan execution) and ``plan.seconds``
-    (the one global planning pass) across everything that ran, taking
-    the best of three paired cold rounds.  With the
-    global planner shipping one plan to every shard task, the 4-shard
-    total must stay within ``--max-plan-ratio`` of the single-shard cost;
-    the legacy path — the cache-free ``ReferenceSearch`` run per shard,
-    every shard filtering against its local slice, on both topologies — is
-    recorded alongside as ``legacy_ratio`` for reference.
-    Answers must be byte-identical across topologies on both paths, and a
-    warm repeat of the planned sharded batch must hit the plan cache.
-    """
-    queries = environment.workload.sample_queries(
-        num_edges=query_edges, count=num_queries
-    )
-    single_engine = Engine.from_index(
-        environment.database, environment.index, executor="serial"
-    )
-    sharded_index = ShardedFragmentIndex.build(
-        environment.database,
-        environment.features,
-        environment.measure,
-        num_shards=num_shards,
-        backend=environment.index.backend_name,
-        backend_options=environment.index.backend_options,
-    )
-    sharded_engine = Engine.from_index(
-        environment.database, sharded_index, executor="serial"
-    )
-
-    def _filter_work(delta):
-        return delta.get("filter.seconds", 0.0) + delta.get("plan.seconds", 0.0)
-
-    def _measure(engine, index):
-        index.clear_caches()
-        structure_code_cache().clear()
-        if engine.planner is not None:
-            # Plans must be recomputed each measurement — a cached plan
-            # would reduce the measurement to execution only.
-            engine.planner.clear_cache()
-        before = GLOBAL_COUNTERS.snapshot()
-        answers = []
-        for sigma in sigmas:
-            batch = engine.search_many(queries, sigma, executor="serial")
-            answers.extend(_answers_payload(batch))
-        return _filter_work(GLOBAL_COUNTERS.delta(before)), answers
-
-    # Three back-to-back (single, sharded) rounds, keeping the round with
-    # the lowest ratio.  Filter work is a few hundred ms in quick mode,
-    # where one scheduler hiccup can swing the ratio past the gate; noise
-    # within a round hits both topologies alike and cancels in the ratio,
-    # so the min over rounds discards the hiccups without favouring
-    # either topology.
-    rounds = []
-    for _ in range(3):
-        single_work, single_answers = _measure(single_engine, environment.index)
-        sharded_work, sharded_answers = _measure(sharded_engine, sharded_index)
-        ratio = sharded_work / max(single_work, 1e-9)
-        rounds.append(
-            (ratio, single_work, sharded_work, single_answers, sharded_answers)
-        )
-    plan_ratio, single_work, sharded_work, single_answers, sharded_answers = min(
-        rounds, key=lambda round_: round_[0]
-    )
-    identical = all(
-        round_[3] == round_[4] == single_answers for round_ in rounds
-    )
-
-    # Warm repeat: the plans are already cached, so the planner must serve
-    # them without recomputing (and the answers must not change).
-    before = GLOBAL_COUNTERS.snapshot()
-    warm_answers = []
-    for sigma in sigmas:
-        batch = sharded_engine.search_many(queries, sigma, executor="serial")
-        warm_answers.extend(_answers_payload(batch))
-    warm_delta = GLOBAL_COUNTERS.delta(before)
-    warm_cache_hits = warm_delta.get("plan.cache_hits", 0.0)
-    warm_identical = warm_answers == sharded_answers
-
-    # Legacy reference: per-shard local filtering (the pre-planner
-    # behaviour), cache-free on both topologies.
-    def _measure_reference(index):
-        shards = getattr(index, "shards", [index])
-        parts = [
-            ReferenceSearch(
-                ShardDatabaseView(environment.database, len(shards), position)
-                if len(shards) > 1
-                else environment.database,
-                shard,
-            )
-            for position, shard in enumerate(shards)
-        ]
-        before = GLOBAL_COUNTERS.snapshot()
-        answers = []
-        for sigma in sigmas:
-            batch = []
-            for query in queries:
-                results = [part.search(query, sigma) for part in parts]
-                batch.append(
-                    merge_search_results(
-                        results,
-                        num_database_graphs=len(environment.database),
-                        num_shards=len(results),
-                    )
-                )
-            answers.extend(_answers_payload(batch))
-        return _filter_work(GLOBAL_COUNTERS.delta(before)), answers
-
-    legacy_single_work, legacy_single_answers = _measure_reference(environment.index)
-    legacy_sharded_work, legacy_sharded_answers = _measure_reference(sharded_index)
-    legacy_ratio = legacy_sharded_work / max(legacy_single_work, 1e-9)
-    legacy_identical = legacy_single_answers == legacy_sharded_answers
-
-    blob = json.dumps(sharded_answers).encode("utf-8")
-    record = {
-        "query_edges": query_edges,
-        "num_queries": len(queries),
-        "sigmas": list(sigmas),
-        "num_shards": num_shards,
-        "cpu_count": os.cpu_count() or 1,
-        "single_filter_seconds": round(single_work, 6),
-        "sharded_filter_seconds": round(sharded_work, 6),
-        "plan_ratio": round(plan_ratio, 3),
-        "legacy_single_filter_seconds": round(legacy_single_work, 6),
-        "legacy_sharded_filter_seconds": round(legacy_sharded_work, 6),
-        "legacy_ratio": round(legacy_ratio, 3),
-        "warm_plan_cache_hits": warm_cache_hits,
-        "warm_identical": warm_identical,
-        "answers_identical": identical,
-        "legacy_answers_identical": legacy_identical,
-        "answers_sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    print(
-        f"{name}: 1-shard filter work {single_work:.3f}s, {num_shards}-shard "
-        f"{sharded_work:.3f}s -> {plan_ratio:.2f}x ratio (legacy "
-        f"{legacy_ratio:.2f}x), warm plan hits {warm_cache_hits:.0f}, "
-        f"identical={identical}"
-    )
-    return record
-
-
 def run_workload(environment, name, query_edges, sigmas, rounds):
     """Measure one workload in legacy and optimized mode; return its record."""
     queries = environment.workload.sample_queries(
@@ -1069,28 +713,6 @@ def main(argv=None) -> int:
         "result-cache hit needs no parallel hardware)",
     )
     parser.add_argument(
-        "--min-sharded-speedup",
-        type=float,
-        default=1.5,
-        help="required 4-process-shard vs 1-shard-serial speedup on the "
-        "sharded_search workload (enforced only with >= 2 CPU cores)",
-    )
-    parser.add_argument(
-        "--min-sharded-build-speedup",
-        type=float,
-        default=1.0,
-        help="required parallel-sharded vs serial build speedup on the "
-        "sharded_build workload (enforced only with >= 2 CPU cores)",
-    )
-    parser.add_argument(
-        "--max-plan-ratio",
-        type=float,
-        default=1.3,
-        help="largest allowed 4-shard/1-shard total filter-work ratio on "
-        "the global_plan workload (work totals are executor-independent, "
-        "so this ceiling is enforced on every machine)",
-    )
-    parser.add_argument(
         "--check-baseline",
         type=Path,
         default=None,
@@ -1144,31 +766,15 @@ def main(argv=None) -> int:
             f"is below the required {arguments.min_verify_speedup:.2f}x"
         )
 
-    (
-        kernel_name,
-        kernel_edges,
-        kernel_sigmas,
-        kernel_rounds,
-        kernel_shards,
-    ) = KERNEL_WORKLOAD
+    kernel_name, kernel_edges, kernel_sigmas, kernel_rounds = KERNEL_WORKLOAD
     kernel_record = run_kernel_workload(
-        environment,
-        kernel_name,
-        kernel_edges,
-        kernel_sigmas,
-        kernel_rounds,
-        kernel_shards,
+        environment, kernel_name, kernel_edges, kernel_sigmas, kernel_rounds
     )
     gate["workloads"][kernel_name] = kernel_record
     if not kernel_record["answers_identical"]:
         failures.append(
             f"{kernel_name}: array-kernel answer ids/distances differ from "
             "the recursive reference search"
-        )
-    if not kernel_record["sharded_answers_identical"]:
-        failures.append(
-            f"{kernel_name}: 4-shard kernel answers differ from the "
-            "unsharded kernel engine"
         )
     if kernel_record["speedup"] < arguments.min_kernel_speedup:
         failures.append(
@@ -1194,55 +800,7 @@ def main(argv=None) -> int:
             f"{arguments.min_update_speedup:.2f}x"
         )
 
-    cpu_count = os.cpu_count() or 1
-    parallel_hardware = cpu_count >= 2
-    gate["cpu_count"] = cpu_count
-
-    sharded_name, sharded_edges, sharded_sigmas, sharded_shards = SHARDED_WORKLOAD
-    sharded_record = run_sharded_workload(
-        environment, sharded_name, sharded_edges, sharded_sigmas, sharded_shards
-    )
-    gate["workloads"][sharded_name] = sharded_record
-    if not sharded_record["answers_identical"]:
-        failures.append(
-            f"{sharded_name}: sharded scatter-gather answers differ from the "
-            "unsharded engine"
-        )
-    if sharded_record["speedup"] < arguments.min_sharded_speedup:
-        if parallel_hardware:
-            failures.append(
-                f"{sharded_name}: sharded speedup "
-                f"{sharded_record['speedup']:.2f}x is below the required "
-                f"{arguments.min_sharded_speedup:.2f}x"
-            )
-        else:
-            print(
-                f"SKIP: {sharded_name} speedup floor not enforced on a "
-                f"{cpu_count}-core machine (measured "
-                f"{sharded_record['speedup']:.2f}x)"
-            )
-
-    build_name, build_shards = SHARDED_BUILD_WORKLOAD
-    build_record = run_sharded_build_workload(environment, build_name, build_shards)
-    gate["workloads"][build_name] = build_record
-    if not build_record["shards_identical"]:
-        failures.append(
-            f"{build_name}: parallel-built shards serialize differently from "
-            "serially built shards"
-        )
-    if build_record["speedup"] < arguments.min_sharded_build_speedup:
-        if parallel_hardware:
-            failures.append(
-                f"{build_name}: parallel build speedup "
-                f"{build_record['speedup']:.2f}x is below the required "
-                f"{arguments.min_sharded_build_speedup:.2f}x"
-            )
-        else:
-            print(
-                f"SKIP: {build_name} speedup floor not enforced on a "
-                f"{cpu_count}-core machine (measured "
-                f"{build_record['speedup']:.2f}x)"
-            )
+    gate["cpu_count"] = os.cpu_count() or 1
 
     serving_name, serving_edges, serving_sigma, serving_clients = SERVING_WORKLOAD
     serving_record = run_serving_workload(
@@ -1311,43 +869,6 @@ def main(argv=None) -> int:
             "the serially replayed control engine"
         )
 
-    (
-        plan_name,
-        plan_edges,
-        plan_sigmas,
-        plan_shards,
-        plan_queries,
-    ) = GLOBAL_PLAN_WORKLOAD
-    plan_record = run_global_plan_workload(
-        environment, plan_name, plan_edges, plan_sigmas, plan_shards, plan_queries
-    )
-    gate["workloads"][plan_name] = plan_record
-    if not plan_record["answers_identical"]:
-        failures.append(
-            f"{plan_name}: planned sharded answers differ from the "
-            "single-shard engine"
-        )
-    if not plan_record["legacy_answers_identical"]:
-        failures.append(
-            f"{plan_name}: legacy per-shard-planning answers differ from the "
-            "single-shard engine"
-        )
-    if not plan_record["warm_identical"]:
-        failures.append(
-            f"{plan_name}: warm (plan-cached) repeat answered differently"
-        )
-    if plan_record["warm_plan_cache_hits"] <= 0:
-        failures.append(
-            f"{plan_name}: warm repeat never hit the plan cache"
-        )
-    if plan_record["plan_ratio"] > arguments.max_plan_ratio:
-        failures.append(
-            f"{plan_name}: 4-shard filter work is "
-            f"{plan_record['plan_ratio']:.2f}x the single-shard cost, above "
-            f"the allowed {arguments.max_plan_ratio:.2f}x (legacy path: "
-            f"{plan_record['legacy_ratio']:.2f}x)"
-        )
-
     pruning = gate["workloads"]["pruning_cost"]
     if pruning["speedup"] < arguments.min_speedup:
         failures.append(
@@ -1366,12 +887,6 @@ def main(argv=None) -> int:
             measured = gate["workloads"].get(name, {}).get("speedup")
             if measured is None:
                 failures.append(f"baseline workload {name!r} was not measured")
-                continue
-            if name in PARALLEL_WORKLOADS and not parallel_hardware:
-                print(
-                    f"SKIP: {name} baseline check not enforced on a "
-                    f"{cpu_count}-core machine (measured {measured:.2f}x)"
-                )
                 continue
             floor = expected * (1.0 - arguments.tolerance)
             if measured < floor:

@@ -11,12 +11,11 @@ committed record:
 * kill after record 2 (clean)  -> recover == full-update reference
 * kill mid-record   (torn)     -> recover == previous committed prefix
 
-Every (topology, kill point, crash mode) combination is exercised at least
+Every (kill point, crash mode) combination is exercised at least
 once per run; the trial order and a few extra repetitions are drawn from a
 seeded RNG so different CI runs walk different schedules (pass the GitHub
-``run_id`` as ``--seed``).  Both the unsharded engine and a 4-shard engine
-are covered, and beyond the byte comparison each recovered pair must answer
-queries exactly like its reference.
+``run_id`` as ``--seed``).  Beyond the byte comparison each recovered pair
+must answer queries exactly like its reference.
 
 The work directory is left on disk (``--workdir``, default
 ``crash_smoke_workdir``) so CI can upload it as an artifact when a trial
@@ -43,8 +42,6 @@ CRASH_MODE_ENV_VAR = "REPRO_CRASH_MODE"
 #: the scripted durable update: one remove batch, then one add batch
 REMOVE_IDS = "1,4"
 UPDATE_RECORDS = 2
-
-TOPOLOGIES = {"unsharded": [], "sharded4": ["--shards", "4"]}
 
 
 def run_pis(arguments, cwd, env=None, expect=0):
@@ -90,7 +87,7 @@ def run_update(pair_dir: Path, records: int, env=None, expect=0):
     ]
     if records >= 2:
         # delta.json lives at the top of the smoke workdir
-        arguments += ["--add", str(pair_dir.parent.parent / "delta.json")]
+        arguments += ["--add", str(pair_dir.parent / "delta.json")]
     arguments.append("--wal")
     return run_pis(arguments, pair_dir, env=env, expect=expect)
 
@@ -128,69 +125,59 @@ def query_answers(workdir: Path) -> str:
 
 
 def build_base(workdir: Path) -> None:
-    """Generate the seed database/delta and both engine topologies."""
+    """Generate the seed database/delta and the base engine."""
     run_pis(
         ["generate", "--count", "24", "--seed", "3", "--output", "db.json"], workdir
     )
     run_pis(
         ["generate", "--count", "5", "--seed", "9", "--output", "delta.json"], workdir
     )
-    for topology, flags in TOPOLOGIES.items():
-        base = workdir / topology / "base"
-        base.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(workdir / "db.json", base / "db.json")
-        run_pis(
-            [
-                "index",
-                "--database",
-                "db.json",
-                "--max-edges",
-                "3",
-                *flags,
-                "--engine-output",
-                str(base / "engine.json"),
-            ],
-            workdir,
-        )
+    base = workdir / "base"
+    base.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(workdir / "db.json", base / "db.json")
+    run_pis(
+        [
+            "index",
+            "--database",
+            "db.json",
+            "--max-edges",
+            "3",
+            "--engine-output",
+            str(base / "engine.json"),
+        ],
+        workdir,
+    )
 
 
 def build_references(workdir: Path) -> dict:
-    """Uninterrupted reference states per (topology, committed records).
+    """Uninterrupted reference states per number of committed records.
 
     ``committed == 0`` is the base pair normalized through one recover
     checkpoint (which stamps the WAL position into both files), so a torn
     first record — whose recovery commits nothing — compares equal to it.
     """
     references = {}
-    for topology in TOPOLOGIES:
-        base = workdir / topology / "base"
-        for committed in range(UPDATE_RECORDS + 1):
-            reference = workdir / topology / f"ref{committed}"
-            copy_pair(base, reference)
-            if committed == 0:
-                run_pis(
-                    [
-                        "recover",
-                        "--database",
-                        "db.json",
-                        "--engine",
-                        "engine.json",
-                    ],
-                    reference,
-                )
-            else:
-                run_update(reference, committed)
-            references[topology, committed] = {
-                "dir": reference,
-                "answers": query_answers(reference),
-            }
+    for committed in range(UPDATE_RECORDS + 1):
+        reference = workdir / f"ref{committed}"
+        copy_pair(workdir / "base", reference)
+        if committed == 0:
+            run_pis(
+                ["recover", "--database", "db.json", "--engine", "engine.json"],
+                reference,
+            )
+        else:
+            run_update(reference, committed)
+        references[committed] = {
+            "dir": reference,
+            "answers": query_answers(reference),
+        }
     return references
 
 
-def run_trial(workdir, references, topology, kill_at, crash_mode, label) -> None:
+def run_trial(workdir, references, kill_at, crash_mode, label) -> None:
     """One fault-injection trial; raises AssertionError on any mismatch."""
-    trial = workdir / topology / label
-    copy_pair(workdir / topology / "base", trial)
+    trial = workdir / label
+    copy_pair(workdir / "base", trial)
 
     env = {CRASH_ENV_VAR: str(kill_at)}
     if crash_mode == "torn":
@@ -212,7 +199,7 @@ def run_trial(workdir, references, topology, kill_at, crash_mode, label) -> None
             f"[{label}] recover output lacks {marker!r}:\n{recovery.stdout}"
         )
 
-    reference = references[topology, committed]
+    reference = references[committed]
     for name in ("db.json", "engine.json"):
         recovered_bytes = (trial / name).read_bytes()
         reference_bytes = (reference["dir"] / name).read_bytes()
@@ -257,9 +244,7 @@ def main(argv=None) -> int:
     workdir.mkdir(parents=True)
 
     rng = random.Random(arguments.seed)
-    combos = list(
-        itertools.product(TOPOLOGIES, range(1, UPDATE_RECORDS + 1), ("clean", "torn"))
-    )
+    combos = list(itertools.product(range(1, UPDATE_RECORDS + 1), ("clean", "torn")))
     trials = list(combos)
     trials.extend(rng.choice(combos) for _ in range(arguments.extra_trials))
     rng.shuffle(trials)
@@ -268,15 +253,15 @@ def main(argv=None) -> int:
     build_base(workdir)
     references = build_references(workdir)
 
-    for number, (topology, kill_at, crash_mode) in enumerate(trials, start=1):
+    for number, (kill_at, crash_mode) in enumerate(trials, start=1):
         label = f"trial{number:02d}_kill{kill_at}_{crash_mode}"
         print(
-            f"[{number}/{len(trials)}] {topology}: SIGKILL after "
+            f"[{number}/{len(trials)}] SIGKILL after "
             f"{kill_at} record(s), mode={crash_mode} ... ",
             end="",
             flush=True,
         )
-        run_trial(workdir, references, topology, kill_at, crash_mode, label)
+        run_trial(workdir, references, kill_at, crash_mode, label)
         print("ok")
 
     print(f"all {len(trials)} trials recovered byte-identically")

@@ -102,7 +102,6 @@ from .index import (
     FragmentSequencer,
     IndexStats,
     QueryFragment,
-    ShardedFragmentIndex,
     load_index,
     save_index,
 )
@@ -192,7 +191,6 @@ __all__ = [
     "min_dfs_code",
     # index
     "FragmentIndex",
-    "ShardedFragmentIndex",
     "FragmentSequencer",
     "EquivalenceClassIndex",
     "QueryFragment",

@@ -7,10 +7,8 @@ Subcommands
 ``index``
     Build an engine (feature selection + fragment index) over a database
     file, from CLI flags or a declarative ``--config`` JSON file, and save
-    the index and/or the whole engine to JSON.  ``--shards N`` partitions
-    the database across N per-shard indexes (built in parallel processes
-    with ``--workers``); a sharded index saves as a manifest plus one
-    payload file per shard.
+    the index and/or the whole engine to JSON.  ``--workers`` enumerates
+    fragments in parallel processes.
 ``query``
     Answer SSSD queries against a database + index (or saved engine),
     comparing PIS with the baselines; ``--workers`` batches the queries
@@ -55,7 +53,7 @@ Subcommands
 Example session::
 
     pis generate --count 200 --output db.json
-    pis index --database db.json --max-edges 5 --shards 4 --workers 4 \\
+    pis index --database db.json --max-edges 5 --workers 4 \\
         --engine-output engine.json
     pis query --database db.json --engine engine.json --sigma 2 \\
         --executor process
@@ -133,22 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker processes for the parallel build (0 = serial): fragment "
-        "enumeration on an unsharded engine, whole shards with --shards",
-    )
-    index.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="partition the database across N shards (overrides the config; "
-        "default: the config's shards, i.e. 1)",
+        help="worker processes for parallel fragment enumeration "
+        "(0 = serial)",
     )
     index.add_argument(
         "--executor",
         choices=("serial", "thread", "process"),
         default=None,
-        help="executor for the engine's parallel work — shard scatter-gather "
-        "and parallel verification (overrides the config; default thread)",
+        help="executor for parallel candidate verification (overrides the "
+        "config; default thread)",
     )
     index.add_argument("--output", type=Path, help="index-only output JSON path")
     index.add_argument(
@@ -184,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker pool kind; 'process' sidesteps the GIL for CPU-bound "
         "verification at the cost of pickling work into each worker "
-        "(default: thread, or the engine config's executor when sharded)",
+        "(default: thread)",
     )
     query.add_argument(
         "--verify-workers",
@@ -503,19 +494,14 @@ def _command_index(arguments: argparse.Namespace) -> int:
         )
     if arguments.executor is not None:
         config = config.replace(executor=arguments.executor)
-    engine = Engine.build(
-        database, config, workers=arguments.workers, shards=arguments.shards
-    )
+    engine = Engine.build(database, config, workers=arguments.workers)
     if arguments.output is not None:
         save_index(engine.index, arguments.output)
     if arguments.engine_output is not None:
         engine.save(arguments.engine_output)
-    sharding = (
-        f" across {engine.index.num_shards} shards" if engine.is_sharded else ""
-    )
     print(
         f"indexed {len(database)} graphs with {engine.index.num_classes} "
-        f"structure classes{sharding}"
+        f"structure classes"
     )
     print(json.dumps(engine.index.stats().as_dict(), indent=2))
     return 0

@@ -26,7 +26,7 @@ __all__ = ["EngineConfig"]
 
 #: keys of removed knobs that saved engine documents may still carry;
 #: :meth:`EngineConfig.from_dict` drops them instead of rejecting the file
-RETIRED_KEYS = frozenset({"kernel"})
+RETIRED_KEYS = frozenset({"kernel", "shards"})
 
 
 @dataclass
@@ -73,17 +73,10 @@ remove_graphs` (see :mod:`repro.index.backends`).  ``None`` keeps each
         thread pools (the default) are GIL-bound for pure-Python distance
         computation, while ``executor="process"`` verifies candidates in
         worker processes for real CPU parallelism.
-    shards:
-        Number of database shards (default ``1`` = the classic unsharded
-        engine).  With ``shards > 1``, :meth:`repro.engine.Engine.build`
-        partitions the graph-id space across per-shard fragment indexes
-        (:class:`repro.index.ShardedFragmentIndex`) and every search
-        scatter-gathers across the shards — answers are byte-identical to
-        the unsharded engine.
     executor:
         Registry name of the :mod:`repro.exec` executor (``"serial"``,
         ``"thread"`` — the default — or ``"process"``) that runs parallel
-        work: shard scatter-gather and parallel candidate verification.
+        candidate verification (``verify_workers``).
         ``"process"`` is the only kind that sidesteps the GIL for
         pure-Python CPU work; it requires picklable payloads and degrades
         to serial where process pools are unavailable.
@@ -150,7 +143,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
     verify: bool = True
     verifier: str = "auto"
     verify_workers: int = 0
-    shards: int = 1
     executor: str = "thread"
     result_cache_size: int = 1024
     plan_cache_size: int = 256
@@ -166,12 +158,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
             raise EngineConfigError(
                 f"durability must be 'none' or 'wal', got {self.durability!r}"
             )
-        if isinstance(self.shards, bool) or not isinstance(self.shards, int):
-            raise EngineConfigError(
-                f"shards must be an int >= 1, got {self.shards!r}"
-            )
-        if self.shards < 1:
-            raise EngineConfigError(f"shards must be >= 1, got {self.shards}")
         if self.rebuild_threshold is not None:
             if (
                 isinstance(self.rebuild_threshold, bool)
@@ -310,7 +296,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
             "verify": self.verify,
             "verifier": self.verifier,
             "verify_workers": self.verify_workers,
-            "shards": self.shards,
             "executor": self.executor,
             "result_cache_size": self.result_cache_size,
             "plan_cache_size": self.plan_cache_size,

@@ -11,8 +11,7 @@ written by :func:`log_additions` / :func:`log_removals` and read by
 functions; only replay decodes a record's graph dicts.
 
 The functions work on a plain ``(database, index)`` pair, where the index
-is a :class:`~repro.index.FragmentIndex` or a
-:class:`~repro.index.ShardedFragmentIndex`.  The engine keeps the
+is a :class:`~repro.index.FragmentIndex`.  The engine keeps the
 bookkeeping around them: the applied log position, its strategy, and its
 result cache.
 
@@ -22,11 +21,12 @@ The checks that bind an engine snapshot to its database on load
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from ..core.database import GraphDatabase
 from ..core.errors import EngineError, WalError
 from ..core.graph import LabeledGraph
+from ..index.fragment_index import FragmentIndex
 from ..store.wal import WalRecord, WriteAheadLog
 
 __all__ = [
@@ -79,7 +79,7 @@ def check_fingerprint(
 
 
 def check_id_bound(
-    index: Any,
+    index: FragmentIndex,
     database: GraphDatabase,
     error: Type[Exception] = EngineError,
 ) -> None:
@@ -126,7 +126,7 @@ def plan_additions(
 
 def apply_additions(
     database: GraphDatabase,
-    index: Any,
+    index: FragmentIndex,
     pairs: Sequence[Tuple[int, LabeledGraph]],
     to_database: bool = True,
     to_index: bool = True,
@@ -161,7 +161,7 @@ def apply_additions(
 
 def apply_removals(
     database: GraphDatabase,
-    index: Any,
+    index: FragmentIndex,
     graph_ids: Sequence[int],
     to_database: bool = True,
     to_index: bool = True,
@@ -208,7 +208,7 @@ def log_removals(wal: WriteAheadLog, graph_ids: Sequence[int]) -> int:
 
 def apply_record(
     database: GraphDatabase,
-    index: Any,
+    index: FragmentIndex,
     record: WalRecord,
     to_database: bool = True,
     to_index: bool = True,

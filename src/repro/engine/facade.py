@@ -6,13 +6,11 @@ way:
 
 - :meth:`Engine.build` turns a database plus a declarative
   :class:`~repro.engine.config.EngineConfig` into a ready-to-query engine
-  (one fragment index, or ``config.shards`` of them built in parallel
-  processes).
-- :meth:`Engine.search` / :meth:`Engine.search_many` answer SSSD queries.
-  On a sharded engine the coordinator plans each query once and every executor
-  runs the same per-shard task (:func:`_shard_batch_task`) through one
-  :meth:`~repro.exec.Executor.map_counted` call; the per-shard results
-  merge byte-identically to the unsharded answers.
+  over one fragment index.
+- :meth:`Engine.search` / :meth:`Engine.search_many` answer SSSD queries;
+  a batch runs serially, in a thread pool, or in worker processes, with
+  byte-identical answers and the same work counters in
+  :meth:`Engine.profile` whichever executor ran it.
 - :meth:`Engine.add_graphs` / :meth:`Engine.remove_graphs` mutate the
   database and index in place.  Live writes and write-ahead-log replay
   share one apply path and one record format,
@@ -24,8 +22,8 @@ way:
 
 For serving, the engine has an explicit lifecycle: :meth:`Engine.start`
 (also entered via ``with engine:``) switches it into *resident* mode —
-executors become long-lived pools reused across every search and scatter
-(workers keep their warm per-shard caches), and a generation-keyed
+executors become long-lived pools reused across every batch (worker
+processes keep their warm caches), and a generation-keyed
 query-result cache (:mod:`repro.serve`) answers repeated queries in O(1),
 byte-identically to a fresh search.  :meth:`Engine.close` shuts the pools
 down and drops the cache; an engine that is never started uses per-call
@@ -58,15 +56,10 @@ from ..index.persistence import (
     index_wal_position,
     measure_to_dict,
 )
-from ..index.sharded import (
-    ShardDatabaseView,
-    ShardedFragmentIndex,
-    merge_search_results,
-)
 from ..mining.registry import make_selector
 from ..perf import PerfCounters
 from ..core.canonical import structure_code_cache
-from ..search.planner import GlobalPlanner, QueryPlan
+from ..search.planner import GlobalPlanner
 from ..search.registry import make_strategy, strategy_class
 from ..search.results import PruningReport, SearchResult
 from ..search.strategy import SearchStrategy
@@ -190,28 +183,20 @@ def _search_chunk(payload: Tuple) -> List[SearchResult]:
 
 
 def _filter_only_search(
-    strategy: SearchStrategy,
-    query: LabeledGraph,
-    sigma: float,
-    plan: Optional[QueryPlan] = None,
+    strategy: SearchStrategy, query: LabeledGraph, sigma: float
 ) -> SearchResult:
     """Run one query's filtering phase only (``EngineConfig.verify=False``).
 
     The answer set is left empty on purpose; strategies exposing a full
     pruning report (PIS) keep it, so filter-only mode remains usable for
-    pruning-power studies over any strategy.  A caller-supplied ``plan``
-    (the scatter path) is executed instead of planning locally.
+    pruning-power studies over any strategy.
     """
     before = strategy.counters.snapshot()
     start = time.perf_counter()
     if hasattr(strategy, "filter_candidates"):
         # Keep the strategy's full pruning report — filter-only mode
         # exists precisely to study it.
-        outcome = (
-            strategy.filter_candidates(query, sigma, plan=plan)
-            if plan is not None
-            else strategy.filter_candidates(query, sigma)
-        )
+        outcome = strategy.filter_candidates(query, sigma)
         candidate_ids = outcome.candidate_ids
         report = outcome.report
     else:
@@ -229,40 +214,7 @@ def _filter_only_search(
         report=report,
         method=f"{strategy.name}(filter-only)",
         counters=strategy.counters.delta(before),
-        plan=plan,
     )
-
-
-def _shard_batch_task(payload: Dict[str, Any]) -> List[SearchResult]:
-    """Executor task of the sharded scatter-gather: one shard, all queries.
-
-    The payload is a plain dict (picklable for the process executor) naming
-    the shard's database view, its fragment index, the strategy
-    configuration, and the coordinator's per-query plans.  The strategy is built
-    inside the task, so every executor runs the same code and worker
-    processes construct their own.  With a plan in hand a shard executes it
-    instead of re-planning over shard-local statistics; parallelism comes
-    from running shards concurrently, not from within this loop.
-    """
-    strategy = make_strategy(
-        payload["strategy"],
-        payload["database"],
-        measure=payload["index"].measure,
-        index=payload["index"],
-        **payload["strategy_params"],
-    )
-    sigma = payload["sigma"]
-    results: List[SearchResult] = []
-    for query, plan in zip(payload["queries"], payload["plans"]):
-        if payload["verify"]:
-            results.append(
-                strategy.search(
-                    query, sigma, verify_workers=payload["verify_workers"], plan=plan
-                )
-            )
-        else:
-            results.append(_filter_only_search(strategy, query, sigma, plan=plan))
-    return results
 
 
 class Engine:
@@ -277,14 +229,14 @@ class Engine:
         self,
         database: GraphDatabase,
         config: EngineConfig,
-        index: Union[FragmentIndex, ShardedFragmentIndex],
+        index: FragmentIndex,
     ):
         self.database = database
         self.index = index
         self._strategy: Optional[SearchStrategy] = None
         self._planner: Optional[GlobalPlanner] = None
         self._started = False
-        self._resident_executors: Dict[Tuple[str, int, bool], Executor] = {}
+        self._resident_executors: Dict[Tuple[str, int], Executor] = {}
         self._result_cache: Optional[QueryResultCache] = None
         self._wal: Optional[WriteAheadLog] = None
         self._wal_applied_lsn = 0
@@ -332,8 +284,8 @@ class Engine:
     def start(self, result_cache_size: Optional[int] = None) -> "Engine":
         """Switch into resident mode: long-lived pools + result cache.
 
-        After ``start()``, every executor the engine needs (shard
-        scatter-gather, batched search) is created once, started, and
+        After ``start()``, every executor the engine needs (batched
+        search) is created once, started, and
         reused across calls — worker processes survive between queries and
         keep their warm caches — and repeated queries are answered from a
         bounded :class:`~repro.serve.QueryResultCache` keyed by query
@@ -377,12 +329,7 @@ class Engine:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def _executor(
-        self,
-        name: str,
-        workers: int,
-        counters: Optional[PerfCounters] = None,
-    ) -> Executor:
+    def _executor(self, name: str, workers: int) -> Executor:
         """One executor for one parallel call site.
 
         On a started engine this returns a *resident* executor — created
@@ -392,11 +339,11 @@ class Engine:
         the classic batch behaviour.
         """
         if not self._started:
-            return make_executor(name, workers=workers, counters=counters)
-        key = (name, int(workers), counters is not None)
+            return make_executor(name, workers=workers)
+        key = (name, int(workers))
         pool = self._resident_executors.get(key)
         if pool is None:
-            pool = make_executor(name, workers=workers, counters=counters)
+            pool = make_executor(name, workers=workers)
             pool.start()
             self._resident_executors[key] = pool
         return pool
@@ -407,7 +354,6 @@ class Engine:
             "started": self._started,
             "num_graphs": len(self.database),
             "index_generation": self.index.generation,
-            "shards": self.index.num_shards if self.is_sharded else 1,
             "result_cache": (
                 self._result_cache.stats()
                 if self._result_cache is not None
@@ -420,7 +366,7 @@ class Engine:
             ),
             "resident_executors": [
                 {"executor": name, "workers": workers}
-                for name, workers, _ in sorted(self._resident_executors)
+                for name, workers in sorted(self._resident_executors)
             ],
             "verify": self._verify_stats(),
         }
@@ -451,58 +397,36 @@ class Engine:
         database: GraphDatabase,
         config: Optional[EngineConfig] = None,
         workers: Optional[int] = None,
-        shards: Optional[int] = None,
         **overrides,
     ) -> "Engine":
         """Build an engine from scratch: select features, index, wire search.
 
         ``overrides`` replace individual config fields, so quick variants
-        read naturally: ``Engine.build(db, strategy="topoPrune")``; the
-        ``shards`` parameter overrides ``config.shards`` the same way.
+        read naturally: ``Engine.build(db, strategy="topoPrune")``.
 
-        With one shard (the default), ``workers > 1`` parallelizes fragment
-        enumeration — the dominant build cost — across a process pool
-        (:meth:`repro.index.FragmentIndex.build`).  With ``shards > 1``,
-        whole shards build in parallel worker processes instead —
-        enumeration *and* backend insertion
-        (:meth:`repro.index.ShardedFragmentIndex.build`).  Either way the
-        result is identical to a serial build.
+        ``workers > 1`` parallelizes fragment enumeration — the dominant
+        build cost — across a process pool
+        (:meth:`repro.index.FragmentIndex.build`); the result is identical
+        to a serial build.
         """
         if config is None:
             config = EngineConfig()
         if overrides:
             config = config.replace(**overrides)
-        if shards is not None:
-            config = config.replace(shards=int(shards))
-        measure = config.make_measure()
         selector = make_selector(config.selector, **config.selector_params)
-        features = selector.select(database)
-        if config.shards > 1:
-            index: Union[FragmentIndex, ShardedFragmentIndex] = (
-                ShardedFragmentIndex.build(
-                    database,
-                    features,
-                    measure,
-                    num_shards=config.shards,
-                    backend=config.backend,
-                    backend_options=config.resolved_backend_options(),
-                    workers=workers,
-                )
-            )
-        else:
-            index = FragmentIndex(
-                features,
-                measure,
-                backend=config.backend,
-                backend_options=config.resolved_backend_options(),
-            ).build(database, workers=workers)
+        index = FragmentIndex(
+            selector.select(database),
+            config.make_measure(),
+            backend=config.backend,
+            backend_options=config.resolved_backend_options(),
+        ).build(database, workers=workers)
         return cls(database, config, index)
 
     @classmethod
     def from_index(
         cls,
         database: GraphDatabase,
-        index: Union[FragmentIndex, ShardedFragmentIndex],
+        index: FragmentIndex,
         config: Optional[EngineConfig] = None,
         **overrides,
     ) -> "Engine":
@@ -522,9 +446,6 @@ class Engine:
         config = config.replace(
             measure=measure_to_dict(index.measure), backend=index.backend_name
         )
-        if isinstance(index, ShardedFragmentIndex):
-            # The index is the ground truth for the sharding topology.
-            config = config.replace(shards=index.num_shards)
         return cls(database, config, index)
 
     # ------------------------------------------------------------------
@@ -536,11 +457,6 @@ class Engine:
         return self.index.measure
 
     @property
-    def is_sharded(self) -> bool:
-        """Whether the engine's index is partitioned across shards."""
-        return isinstance(self.index, ShardedFragmentIndex)
-
-    @property
     def strategy(self) -> SearchStrategy:
         """The configured search strategy (built lazily, then cached)."""
         if self._strategy is None:
@@ -548,9 +464,8 @@ class Engine:
                 self.config.strategy, **self.config.strategy_params
             )
             if hasattr(self._strategy, "planner"):
-                # Share the engine-owned planner: the unsharded search
-                # path, the scatter driver, and cache warming then hit one
-                # plan cache instead of three.
+                # Share the engine-owned planner: searches, explain and
+                # cache warming then hit one plan cache.
                 self._strategy.planner = self._ensure_planner()
         return self._strategy
 
@@ -592,25 +507,9 @@ class Engine:
         except Exception:
             return False
 
-    def _global_database_size(self) -> int:
-        """The global live-graph count ``n`` used as the selectivity
-        denominator — never any shard-local size."""
+    def _live_database_size(self) -> int:
+        """The live-graph count ``n`` used as the selectivity denominator."""
         return max(self.index.num_live_graphs, len(self.database))
-
-    def plan_queries(
-        self, queries: Sequence[LabeledGraph], sigma: float
-    ) -> Optional[List[QueryPlan]]:
-        """Plan each query once (cache-served), or ``None`` when the
-        strategy does not plan.  The scatter path ships these to every
-        shard task."""
-        if not self._supports_planning():
-            return None
-        planner = self._ensure_planner()
-        num_graphs = self._global_database_size()
-        return [
-            planner.plan(query, sigma, num_graphs=num_graphs)
-            for query in queries
-        ]
 
     def warm(
         self,
@@ -619,24 +518,20 @@ class Engine:
     ) -> Dict[str, int]:
         """Pre-populate the query-side caches for an expected workload.
 
-        Enumerates each query's fragments into the fragment memo (on a
-        sharded index this seeds every shard) and — when the strategy plans —
-        plans each ``(query, sigma)`` pair, which also warms the range and
-        global-statistics caches the plans touch.  ``pis serve --warm``
+        Enumerates each query's fragments into the fragment memo and — when
+        the strategy plans — plans each ``(query, sigma)`` pair, which also
+        warms the range-query cache the plans touch.  ``pis serve --warm``
         calls this on startup so the first real queries hit warm caches.
 
         Returns ``{"queries": ..., "plans": ...}`` counts for reporting.
         """
         queries = list(queries)
-        if self.is_sharded:
-            self.index.prewarm_query_fragments(queries)
-        else:
-            for query in queries:
-                self.index.enumerate_query_fragments(query)
+        for query in queries:
+            self.index.enumerate_query_fragments(query)
         planned = 0
         if self._supports_planning() and sigmas:
             planner = self._ensure_planner()
-            num_graphs = self._global_database_size()
+            num_graphs = self._live_database_size()
             for sigma in sigmas:
                 for query in queries:
                     planner.plan(query, float(sigma), num_graphs=num_graphs)
@@ -654,7 +549,7 @@ class Engine:
         plan = None
         if self._supports_planning():
             plan = self._ensure_planner().plan(
-                query, sigma, num_graphs=self._global_database_size()
+                query, sigma, num_graphs=self._live_database_size()
             )
         result = self.search(query, sigma)
         return {
@@ -677,7 +572,7 @@ class Engine:
         }
 
     def _injected_strategy_params(
-        self, name: str, params: Dict[str, Any], verify_executor: Optional[str] = None
+        self, name: str, params: Dict[str, Any]
     ) -> Dict[str, Any]:
         """Fold the config's verification defaults into strategy params.
 
@@ -696,7 +591,7 @@ class Engine:
         for key, value in (
             ("verifier", self.config.verifier),
             ("verify_workers", self.config.verify_workers),
-            ("verify_executor", verify_executor or self.config.executor),
+            ("verify_executor", self.config.executor),
         ):
             if takes_kwargs or key in signature.parameters:
                 params.setdefault(key, value)
@@ -710,107 +605,12 @@ class Engine:
         The config's ``verifier`` / ``verify_workers`` / ``executor`` are
         applied unless overridden in ``params``, so cross-check strategies
         verify with the same subsystem (and share the index's distance
-        cache) as the configured one.  On a sharded engine the strategy is
-        built over the *merged* index view — it answers over the whole
-        database, exactly like a strategy over an unsharded index.
+        cache) as the configured one.
         """
         params = self._injected_strategy_params(name, params)
         return make_strategy(
             name, self.database, measure=self.measure, index=self.index, **params
         )
-
-    # ------------------------------------------------------------------
-    # sharded scatter-gather
-    # ------------------------------------------------------------------
-    def _shard_payloads(
-        self,
-        queries: Sequence[LabeledGraph],
-        sigma: float,
-        verify_workers: Optional[int],
-        plans: Sequence[Optional[QueryPlan]],
-    ) -> List[Dict[str, Any]]:
-        """Per-shard :func:`_shard_batch_task` payloads, one per shard.
-
-        Each pairs one shard's fragment index with a
-        :class:`~repro.index.ShardDatabaseView` restricted to the shard's
-        graph ids, so filtering, fallbacks, and verification are all
-        shard-local.  Verification inside a shard stays on the thread
-        executor — shard-level parallelism already saturates the pool, and
-        a process scatter must not spawn nested process pools.  ``plans``
-        (parallel to ``queries``) rides along: a
-        :class:`~repro.search.planner.QueryPlan` is a plain frozen
-        dataclass whose pickle drops the raw range maps, so shipping one
-        costs little more than its candidate ids and bounds.
-        """
-        index: ShardedFragmentIndex = self.index
-        queries, plans = list(queries), list(plans)
-        strategy_params = self._injected_strategy_params(
-            self.config.strategy,
-            self.config.strategy_params,
-            verify_executor="thread",
-        )
-        return [
-            {
-                "strategy": self.config.strategy,
-                "strategy_params": strategy_params,
-                "database": ShardDatabaseView(
-                    self.database, index.num_shards, position
-                ),
-                "index": shard,
-                "queries": queries,
-                "sigma": sigma,
-                "verify": self.config.verify,
-                "verify_workers": verify_workers,
-                "plans": plans,
-            }
-            for position, shard in enumerate(index.shards)
-        ]
-
-    def _scatter(
-        self,
-        queries: Sequence[LabeledGraph],
-        sigma: float,
-        verify_workers: Optional[int],
-        executor_name: str,
-    ) -> List[SearchResult]:
-        """Scatter the queries across every shard; gather merged results.
-
-        Every shard answers every query over its own partition; the
-        per-shard results merge into per-query global results
-        (:func:`repro.index.merge_search_results`) that are byte-identical
-        in answer ids and distances to an unsharded engine's.  Every
-        executor runs the same :func:`_shard_batch_task` payloads through
-        :meth:`~repro.exec.Executor.map_counted`: in-process executors
-        report into the shards' live counter sinks, and the process
-        executor merges the workers' counter deltas into the sharded
-        index's sink, so :meth:`profile` sees the work wherever it ran.
-        """
-        index: ShardedFragmentIndex = self.index
-        num_shards = index.num_shards
-        _check_executor(executor_name)
-        # Enumerate each query's fragments once, not once per shard: the
-        # result is shard-independent, and warming the shard caches here
-        # also ships into process-executor workers with the pickled shards.
-        index.prewarm_query_fragments(queries)
-        # Plan once, execute everywhere: global selectivities, one MWIS
-        # solve, and the full filtering outcome computed on the driver,
-        # instead of per shard.  The plans carry that outcome, so shard
-        # tasks only restrict it to their live ids — no backend work.
-        plans = self.plan_queries(queries, sigma) or [None] * len(queries)
-        payloads = self._shard_payloads(queries, sigma, verify_workers, plans)
-        pool = self._executor(executor_name, num_shards, counters=index.counters)
-        per_shard = pool.map_counted(
-            _shard_batch_task, payloads, sink=index.counters
-        )
-        num_live = len(self.database)
-        return [
-            merge_search_results(
-                [per_shard[shard][position] for shard in range(num_shards)],
-                num_database_graphs=num_live,
-                num_shards=num_shards,
-            )
-            for position in range(len(queries))
-        ]
 
     def stats(self) -> Dict[str, Any]:
         """Return a JSON-friendly summary of the engine's components."""
@@ -825,15 +625,12 @@ class Engine:
     def _merged_counters(self) -> PerfCounters:
         """Fold every counter sink the engine feeds into one view.
 
-        Per-shard work lands in each shard's own sink (serial/thread
-        scatter) or is merged into the sharded sink from worker deltas
-        (process scatter); the active strategy may own a private sink.
+        Work lands in the index's sink (worker-process deltas of a process
+        batch are merged into it too); the active strategy may own a
+        private sink.
         """
         counters = PerfCounters()
         counters.merge(self.index.counters)
-        if self.is_sharded:
-            for shard in self.index.shards:
-                counters.merge(shard.counters)
         if (
             self._strategy is not None
             and self._strategy.counters is not self.index.counters
@@ -1090,8 +887,8 @@ class Engine:
     ) -> List[SearchResult]:
         """Answer a batch from the result cache, computing only the misses.
 
-        Used by the batch paths that bypass :meth:`search` (sharded
-        scatter, process chunks): hits are served up front, the misses go
+        Used by the process batch path, which bypasses :meth:`search`:
+        hits are served up front, the misses go
         to ``compute`` in one call — a fully cached batch never calls it —
         and the fresh results are cached.  Results come back in query
         order.
@@ -1134,10 +931,7 @@ class Engine:
         -------
         SearchResult
             Candidates, answers with exact distances, per-phase timings,
-            pruning report, and counter deltas.  On a sharded engine the
-            query scatter-gathers across every shard (through the config's
-            executor) and the merged result is byte-identical in answer ids
-            and distances to an unsharded engine's.  On a *started* engine
+            pruning report, and counter deltas.  On a *started* engine
             a repeated query is answered from the result cache
             (``result.from_cache`` is set), byte-identically to a fresh
             search against the current index generation.
@@ -1163,10 +957,6 @@ class Engine:
         verify_workers: Optional[int],
     ) -> SearchResult:
         """Compute one query, bypassing the result cache."""
-        if self.is_sharded:
-            return self._scatter(
-                [query], sigma, verify_workers, self.config.executor
-            )[0]
         strategy = self.strategy
         if self.config.verify:
             return strategy.search(query, sigma, verify_workers=verify_workers)
@@ -1192,17 +982,14 @@ class Engine:
             Distance threshold shared by the whole batch.
         workers:
             Pool size.  ``None``, ``0`` or ``1`` runs the batch
-            sequentially in the calling thread.  Ignored on a sharded
-            engine, whose parallelism is one worker per shard.
+            sequentially in the calling thread.
         executor:
-            ``"serial"`` runs in the calling thread; ``"thread"`` shares
-            the engine across a thread pool; ``"process"`` runs in worker
-            processes (the only executor that sidesteps the GIL for
-            pure-Python verification).  ``None`` picks the default:
-            ``"thread"`` on an unsharded engine, the config's ``executor``
-            on a sharded one.  On a sharded engine the pool runs one task
-            per shard (each covering the whole batch) instead of one task
-            per query slice.
+            ``"serial"`` runs in the calling thread; ``"thread"`` (the
+            default) shares the engine across a thread pool; ``"process"``
+            runs in worker processes (the only executor that sidesteps the
+            GIL for pure-Python verification), and merges the workers'
+            counter deltas into the index's sink so :meth:`profile` sees
+            the work.
         verify_workers:
             Worker-pool size for parallel candidate verification *within*
             each query (``None`` = the config default).  Composes with
@@ -1216,60 +1003,49 @@ class Engine:
         """
         queries = list(queries)
         start = time.perf_counter()
-        if self.is_sharded:
-            executor = executor or self.config.executor
-            workers = self.index.num_shards
+        executor = executor or "thread"
+        _check_executor(executor)
+        workers = 0 if executor == "serial" else int(workers or 0)
+        if workers <= 1 or len(queries) <= 1:
+            workers, executor = 1, "sequential"
+            results = [
+                self.search(query, sigma, verify_workers=verify_workers)
+                for query in queries
+            ]
+        elif executor == "process":
 
-            def scatter(missing: List[LabeledGraph]) -> List[SearchResult]:
-                # One topology-level read pin covers the whole scatter;
-                # per-shard work nests under it without re-acquiring.
-                with self.index.epochs.read():
-                    return self._scatter(missing, sigma, verify_workers, executor)
-
-            results = self._cached_batch(queries, sigma, scatter)
-        else:
-            executor = executor or "thread"
-            _check_executor(executor)
-            workers = 0 if executor == "serial" else int(workers or 0)
-            if workers <= 1 or len(queries) <= 1:
-                workers, executor = 1, "sequential"
-                results = [
-                    self.search(query, sigma, verify_workers=verify_workers)
-                    for query in queries
+            def in_chunks(missing: List[LabeledGraph]) -> List[SearchResult]:
+                # Workers receive a cold pickled engine (no result cache).
+                # One contiguous chunk per worker keeps engine pickling
+                # cost at O(workers) instead of O(queries); the executor
+                # layer degrades to serial where process pools are
+                # unavailable.
+                size = max(1, (len(missing) + workers - 1) // workers)
+                payloads = [
+                    (self, missing[position : position + size], sigma, verify_workers)
+                    for position in range(0, len(missing), size)
                 ]
-            elif executor == "process":
+                pool = self._executor("process", workers)
+                # Hold a read pin while the engine pickles into the
+                # workers so a concurrent writer cannot mutate the index
+                # mid-serialization.
+                with self.index.epochs.read():
+                    chunks = pool.map_counted(
+                        _search_chunk, payloads, sink=self.index.counters
+                    )
+                return [result for chunk in chunks for result in chunk]
 
-                def in_chunks(missing: List[LabeledGraph]) -> List[SearchResult]:
-                    # Workers receive a cold pickled engine (no result
-                    # cache).  One contiguous chunk per worker keeps engine
-                    # pickling cost at O(workers) instead of O(queries);
-                    # the executor layer degrades to serial where process
-                    # pools are unavailable.
-                    size = max(1, (len(missing) + workers - 1) // workers)
-                    payloads = [
-                        (self, missing[position : position + size], sigma, verify_workers)
-                        for position in range(0, len(missing), size)
-                    ]
-                    pool = self._executor("process", workers)
-                    # Hold a read pin while the engine pickles into the
-                    # workers so a concurrent writer cannot mutate the
-                    # index mid-serialization.
-                    with self.index.epochs.read():
-                        chunks = pool.map(_search_chunk, payloads)
-                    return [result for chunk in chunks for result in chunk]
-
-                results = self._cached_batch(queries, sigma, in_chunks)
-            else:
-                # "thread" and any other registered in-process executor
-                # share the engine directly, one task per query;
-                # :meth:`search` handles the result cache per query, so a
-                # query repeated within the batch is a hit on its later
-                # occurrences.
-                pool = self._executor(executor, workers)
-                results = pool.map(
-                    lambda query: self.search(query, sigma, verify_workers=verify_workers),
-                    queries,
-                )
+            results = self._cached_batch(queries, sigma, in_chunks)
+        else:
+            # "thread" and any other registered in-process executor share
+            # the engine directly, one task per query; :meth:`search`
+            # handles the result cache per query, so a query repeated
+            # within the batch is a hit on its later occurrences.
+            pool = self._executor(executor, workers)
+            results = pool.map(
+                lambda query: self.search(query, sigma, verify_workers=verify_workers),
+                queries,
+            )
         return BatchSearchResult(
             sigma=sigma,
             results=results,
@@ -1308,6 +1084,10 @@ class Engine:
     ) -> "Engine":
         """Rebuild an engine from :meth:`to_dict` output plus its database.
 
+        An engine saved with a sharded index raises
+        :class:`~repro.core.errors.SerializationError` asking for a
+        rebuild with ``pis index``.
+
         ``_defer_consistency`` (internal, used by :meth:`load` during WAL
         recovery) skips the database/index cross-checks: a crash between
         the database and engine snapshot writes legitimately leaves the
@@ -1318,13 +1098,6 @@ class Engine:
             raise SerializationError("not a serialized PIS engine")
         config = EngineConfig.from_dict(data.get("config", {}))
         index = index_from_dict(data.get("index", {}))
-        # The built index is the ground truth for the sharding topology; a
-        # hand-edited config cannot silently disagree with it.
-        if isinstance(index, ShardedFragmentIndex):
-            if config.shards != index.num_shards:
-                config = config.replace(shards=index.num_shards)
-        elif config.shards != 1:
-            config = config.replace(shards=1)
         if not _defer_consistency:
             check_id_bound(index, database)
             check_fingerprint(data.get("database_fingerprint"), database)

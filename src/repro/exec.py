@@ -1,12 +1,12 @@
 """Executor abstraction: serial / thread / process task execution.
 
-Several layers of the system fan work out over a pool — the sharded engine
-scatter-gathers one search per shard (:mod:`repro.index.sharded`), the
-bounded verifier spreads candidate verification (:mod:`repro.search.verify`),
-and the sharded build constructs whole shards in parallel.  This module
-gives all of them one small, registry-backed abstraction so the pool kind is
-a configuration choice (:attr:`repro.engine.EngineConfig.executor`) instead
-of an implementation detail:
+Several layers of the system fan work out over a pool — the engine runs a
+batch of searches across workers (:meth:`repro.engine.Engine.search_many`)
+and the bounded verifier spreads candidate verification
+(:mod:`repro.search.verify`).  This module gives both one small,
+registry-backed abstraction so the pool kind is a choice
+(:attr:`repro.engine.EngineConfig.executor`, the ``executor`` argument of
+``search_many``) instead of an implementation detail:
 
 :class:`SerialExecutor` (``"serial"``)
     Runs every task in the calling thread, in order.  The reference

@@ -20,13 +20,6 @@ from .persistence import (
 )
 from .rtree import RTreeBackend, Rect
 from .sequence import FragmentSequencer
-from .sharded import (
-    ShardDatabaseView,
-    ShardedFragmentIndex,
-    ShardedIndexStats,
-    merge_search_results,
-    shard_of,
-)
 from .trie import TrieBackend
 from .vptree import VPTreeBackend
 
@@ -45,11 +38,6 @@ __all__ = [
     "FragmentIndex",
     "QueryFragment",
     "IndexStats",
-    "ShardedFragmentIndex",
-    "ShardedIndexStats",
-    "ShardDatabaseView",
-    "shard_of",
-    "merge_search_results",
     "index_to_dict",
     "index_from_dict",
     "save_index",

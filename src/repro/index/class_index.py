@@ -47,9 +47,8 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
 
 #: Below this many stored vectors the scalar loop beats the numpy pass —
 #: array construction and ufunc dispatch cost more than the whole scan.
-#: Small per-class postings are the norm on database shards, so this keeps
-#: a shard's range query from paying full-size fixed costs on a
-#: quarter-size posting list.
+#: Many classes hold only a handful of occurrences (rare fragments), so
+#: this keeps their range queries from paying the numpy fixed costs.
 _SCALAR_SCAN_MAX = 32
 
 
@@ -243,10 +242,6 @@ class EquivalenceClassIndex:
             # (num_occurrences == sum(occurrences_by_graph)) from here on.
             self._num_occurrences = per_graph_total - occurrences
         return removed
-
-    def occurrences_of(self, graph_id: int) -> int:
-        """Number of indexed occurrences owned by ``graph_id``."""
-        return self._occurrences_by_graph.get(graph_id, 0)
 
     @property
     def occurrences_by_graph(self) -> Dict[int, int]:

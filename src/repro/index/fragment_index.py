@@ -416,42 +416,6 @@ class FragmentIndex:
         """Incrementally index ``(graph_id, graph)`` pairs; returns occurrences."""
         return sum(self.add_graph(graph_id, graph) for graph_id, graph in graphs)
 
-    def align_id_bound(self, id_bound: int) -> None:
-        """Extend the graph-id bound, retiring every id in the gap.
-
-        Sharded deployments (:class:`repro.index.sharded.ShardedFragmentIndex`)
-        partition one global id space across several indexes; each shard
-        aligns to the global bound so ids owned by *other* shards are retired
-        locally and can never resurface from a candidate fallback.  The bound
-        never shrinks; aligning to a smaller or equal bound is a no-op.
-        """
-        id_bound = int(id_bound)
-        if id_bound > self._num_graphs:
-            with self.epochs.write():
-                self._removed_ids.update(range(self._num_graphs, id_bound))
-                self._num_graphs = id_bound
-                self._built = True
-
-    def mark_retired(self, graph_id: int) -> None:
-        """Record ``graph_id`` as retired here without touching postings.
-
-        The sharding layer calls this on every shard that does *not* own a
-        newly added graph id, keeping all shards' id spaces aligned.  Ids at
-        or beyond the bound extend it (like :meth:`add_graph` gaps); ids
-        below the bound must already be retired — retiring a live id would
-        silently hide indexed postings, so it raises instead.
-        """
-        if not isinstance(graph_id, int) or isinstance(graph_id, bool) or graph_id < 0:
-            raise IndexError_(f"graph id must be a non-negative int, got {graph_id!r}")
-        if graph_id >= self._num_graphs:
-            self.align_id_bound(graph_id + 1)
-            return
-        if graph_id not in self._removed_ids:
-            raise IndexError_(
-                f"cannot mark graph id {graph_id} retired: it is live in this "
-                "index (remove it instead)"
-            )
-
     def remove_graph(self, graph_id: int) -> int:
         """Remove one graph from every equivalence class.
 
@@ -653,19 +617,6 @@ class FragmentIndex:
         result = list(fragments.values())
         self.counters.increment("query_fragments.enumerated", len(result))
         return result
-
-    def prewarm_query_fragments(
-        self, query: LabeledGraph, fragments: List[QueryFragment]
-    ) -> None:
-        """Seed the query-fragment memo cache with an external enumeration.
-
-        The sharding layer enumerates a query's fragments once — all shards
-        share one feature set, so the result is shard-independent — and
-        seeds every shard's cache with it, so scatter-gather search never
-        repeats the per-shard subgraph enumeration.  The cached list must
-        be exactly what :meth:`enumerate_query_fragments` would compute.
-        """
-        self._fragment_cache.put(graph_signature(query), list(fragments))
 
     def range_query(
         self, fragment: QueryFragment, sigma: float

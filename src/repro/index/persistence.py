@@ -28,7 +28,6 @@ from ..core.errors import SerializationError
 from ..core.graph import LabeledGraph
 from ..store.atomic import atomic_write_text
 from .fragment_index import FragmentIndex
-from .sharded import ShardedFragmentIndex
 
 __all__ = [
     "measure_to_dict",
@@ -39,7 +38,6 @@ __all__ = [
     "save_index",
     "load_index",
     "INDEX_SCHEMA_VERSION",
-    "SHARDED_INDEX_SCHEMA_VERSION",
     "WAL_INDEX_SCHEMA_VERSION",
     "SUPPORTED_INDEX_VERSIONS",
 ]
@@ -76,38 +74,19 @@ def measure_from_dict(data: Dict[str, Any]) -> DistanceMeasure:
 #: adds the incremental-update state: the retired (tombstoned) graph ids,
 #: the mutation generation counter, and per-class *per-graph* occurrence
 #: counts, so a reloaded index can keep mutating with exact statistics.
-#: A single (unsharded) index still serializes at this version.
 INDEX_SCHEMA_VERSION = 3
 
-#: schema version of a *sharded* index: a manifest (sharding topology) plus
-#: one version-3 payload per shard — embedded inline by
-#: :func:`index_to_dict` or split into per-shard files by
-#: :func:`save_index`.  Versions 1–3 keep loading as a single shard.
-SHARDED_INDEX_SCHEMA_VERSION = 4
-
 #: schema version of a *checkpoint* snapshot: structurally a version-3
-#: single index (or a version-4 sharded manifest), plus a ``"wal"`` section
-#: recording the log position the snapshot folds in
-#: (``{"committed_lsn": N}``).  Loading a version-5 snapshot next to a
-#: write-ahead log replays exactly the records beyond that position —
-#: a version-3/4 snapshot is simply a version-5 snapshot at position 0.
+#: index plus a ``"wal"`` section recording the log position the snapshot
+#: folds in (``{"committed_lsn": N}``).  Loading a version-5 snapshot next
+#: to a write-ahead log replays exactly the records beyond that position —
+#: a version-3 snapshot is simply a version-5 snapshot at position 0.
 WAL_INDEX_SCHEMA_VERSION = 5
 
-#: schema versions this loader understands
-SUPPORTED_INDEX_VERSIONS = (1, 2, 3, 4, 5)
-
-
-def _sharded_manifest(index: ShardedFragmentIndex) -> Dict[str, Any]:
-    """The shard-independent header of a sharded-index document."""
-    return {
-        "format": "pis-fragment-index",
-        "version": SHARDED_INDEX_SCHEMA_VERSION,
-        "measure": measure_to_dict(index.measure),
-        "backend": index.backend_name,
-        "backend_options": dict(index.backend_options),
-        "num_graphs": index.num_graphs,
-        "sharding": {"num_shards": index.num_shards, "assignment": "modulo"},
-    }
+#: schema versions this loader understands.  Version 4 was the manifest of
+#: a sharded index, a topology the engine no longer has; such documents are
+#: rejected with a rebuild hint (:func:`_is_sharded_payload`).
+SUPPORTED_INDEX_VERSIONS = (1, 2, 3, 5)
 
 
 def _is_sharded_payload(data: Dict[str, Any]) -> bool:
@@ -116,7 +95,7 @@ def _is_sharded_payload(data: Dict[str, Any]) -> bool:
 
 
 def _stamp_wal_position(document: Dict[str, Any], wal_position) -> Dict[str, Any]:
-    """Upgrade a v3/v4 document to a v5 snapshot carrying a WAL position."""
+    """Upgrade a v3 document to a v5 snapshot carrying a WAL position."""
     if wal_position is None:
         return document
     document["version"] = WAL_INDEX_SCHEMA_VERSION
@@ -125,7 +104,7 @@ def _stamp_wal_position(document: Dict[str, Any], wal_position) -> Dict[str, Any
 
 
 def index_wal_position(data: Dict[str, Any]) -> int:
-    """The WAL position a serialized snapshot folds in (0 for v1–v4)."""
+    """The WAL position a serialized snapshot folds in (0 for v1–v3)."""
     wal = data.get("wal")
     if isinstance(wal, dict):
         return int(wal.get("committed_lsn", 0))
@@ -133,23 +112,15 @@ def index_wal_position(data: Dict[str, Any]) -> int:
 
 
 def index_to_dict(
-    index: Union[FragmentIndex, ShardedFragmentIndex],
+    index: FragmentIndex,
     wal_position: Union[int, None] = None,
 ) -> Dict[str, Any]:
-    """Serialize a built index to a JSON-friendly dict.
+    """Serialize a built index to a JSON-friendly version-3 dict.
 
-    A :class:`~repro.index.sharded.ShardedFragmentIndex` serializes as a
-    version-4 manifest with one embedded version-3 payload per shard; a
-    plain :class:`FragmentIndex` keeps the version-3 single-index schema.
-    Passing ``wal_position`` upgrades the top-level document to a version-5
+    Passing ``wal_position`` upgrades the document to a version-5
     checkpoint snapshot whose ``"wal"`` section records the log position it
-    folds in (embedded shard payloads stay version 3 — the position is a
-    whole-snapshot property).
+    folds in.
     """
-    if isinstance(index, ShardedFragmentIndex):
-        manifest = _sharded_manifest(index)
-        manifest["shards"] = [index_to_dict(shard) for shard in index.shards]
-        return _stamp_wal_position(manifest, wal_position)
     classes = []
     for class_index in index.classes():
         grouped: Dict[Any, list] = {}
@@ -192,9 +163,7 @@ def index_to_dict(
     return _stamp_wal_position(document, wal_position)
 
 
-def index_from_dict(
-    data: Dict[str, Any], strict: bool = False
-) -> Union[FragmentIndex, ShardedFragmentIndex]:
+def index_from_dict(data: Dict[str, Any], strict: bool = False) -> FragmentIndex:
     """Rebuild an index from :func:`index_to_dict` output.
 
     Accepts every schema version in :data:`SUPPORTED_INDEX_VERSIONS`;
@@ -202,12 +171,12 @@ def index_from_dict(
     files keep their historical behaviour (occurrences == entries), and
     version-3 files additionally restore the incremental-update state
     (retired graph ids, generation counter, per-graph occurrence counts).
-    Version-4 manifests with embedded shard payloads rebuild a
-    :class:`~repro.index.sharded.ShardedFragmentIndex`; versions 1–3 load
-    as a single (unsharded) index exactly as before.  Version-5 checkpoint
-    snapshots load like their version-3/4 counterparts — the ``"wal"``
-    position they carry is consumed by the engine's replay-on-load, not
-    here (:func:`index_wal_position` extracts it).
+    Version-5 checkpoint snapshots load like their version-3 counterparts —
+    the ``"wal"`` position they carry is consumed by the engine's
+    replay-on-load, not here (:func:`index_wal_position` extracts it).
+    A sharded index document (version 4, or a version-5 snapshot of a
+    sharded engine) raises :class:`~repro.core.errors.SerializationError`:
+    the index must be rebuilt with ``pis index``.
 
     A file with *no* ``version`` field is suspicious — it is what a
     truncated or hand-mangled dump looks like — so it triggers a
@@ -216,6 +185,11 @@ def index_from_dict(
     """
     if data.get("format") != "pis-fragment-index":
         raise SerializationError("not a serialized PIS fragment index")
+    if _is_sharded_payload(data):
+        raise SerializationError(
+            "this index was saved by a sharded engine, which is no longer "
+            "supported; rebuild it from the database with `pis index`"
+        )
     if "version" not in data:
         message = (
             "serialized index has no 'version' field; assuming schema "
@@ -229,17 +203,6 @@ def index_from_dict(
         raise SerializationError(
             f"unsupported index schema version {version!r}; "
             f"supported: {list(SUPPORTED_INDEX_VERSIONS)}"
-        )
-    if version >= SHARDED_INDEX_SCHEMA_VERSION and _is_sharded_payload(data):
-        shard_payloads = data.get("shards")
-        if not shard_payloads:
-            raise SerializationError(
-                "sharded index manifest embeds no shard payloads; manifests "
-                "that reference per-shard files must be loaded with "
-                "load_index (which resolves the files)"
-            )
-        return ShardedFragmentIndex(
-            [index_from_dict(payload, strict=strict) for payload in shard_payloads]
         )
     measure = measure_from_dict(data.get("measure", {}))
     index = FragmentIndex(
@@ -272,39 +235,17 @@ def index_from_dict(
 
 
 def save_index(
-    index: Union[FragmentIndex, ShardedFragmentIndex],
+    index: FragmentIndex,
     path: Union[str, Path],
     wal_position: Union[int, None] = None,
 ) -> None:
-    """Write an index to JSON: one file, or a manifest plus per-shard files.
+    """Write an index to one JSON file (version 3, or 5 with ``wal_position``).
 
-    A plain :class:`FragmentIndex` writes a single version-3 document.  A
-    :class:`~repro.index.sharded.ShardedFragmentIndex` writes a version-4
-    *manifest* at ``path`` that names one payload file per shard
-    (``<stem>.shard<K>.json``, written next to the manifest), so shards can
-    be inspected, copied, or re-hosted independently; :func:`load_index`
-    resolves the shard files relative to the manifest.  ``wal_position``
-    upgrades the manifest to a version-5 checkpoint snapshot.
-
-    Every file is replaced atomically (write-temp + fsync + rename), so a
+    The file is replaced atomically (write-temp + fsync + rename), so a
     crash mid-save can never leave a torn index file — the old snapshot
     survives until the new one is durable.
     """
-    path = Path(path)
     try:
-        if isinstance(index, ShardedFragmentIndex):
-            manifest = _sharded_manifest(index)
-            shard_files = []
-            for position, shard in enumerate(index.shards):
-                shard_name = f"{path.stem}.shard{position}{path.suffix or '.json'}"
-                atomic_write_text(
-                    path.parent / shard_name, json.dumps(index_to_dict(shard))
-                )
-                shard_files.append(shard_name)
-            manifest["shard_files"] = shard_files
-            _stamp_wal_position(manifest, wal_position)
-            atomic_write_text(path, json.dumps(manifest))
-            return
         atomic_write_text(
             path, json.dumps(index_to_dict(index, wal_position=wal_position))
         )
@@ -316,38 +257,16 @@ def save_index(
         ) from exc
 
 
-def load_index(
-    path: Union[str, Path], strict: bool = False
-) -> Union[FragmentIndex, ShardedFragmentIndex]:
+def load_index(path: Union[str, Path], strict: bool = False) -> FragmentIndex:
     """Load an index previously written by :func:`save_index`.
 
-    Version-4 sharded manifests resolve their per-shard payload files
-    relative to the manifest's directory (embedded-shard manifests load
-    directly); versions 1–3 load as a single index.  ``strict=True`` turns
-    the missing-``version`` warning of :func:`index_from_dict` into a
-    :class:`SerializationError`, so pipelines that must not guess about
-    corrupt files can opt out of the lenient default.
+    ``strict=True`` turns the missing-``version`` warning of
+    :func:`index_from_dict` into a :class:`SerializationError`, so
+    pipelines that must not guess about corrupt files can opt out of the
+    lenient default.
     """
-    path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SerializationError(f"cannot load index from {path}: {exc}") from exc
-    if (
-        isinstance(data, dict)
-        and data.get("version", 0) >= SHARDED_INDEX_SCHEMA_VERSION
-        and "shard_files" in data
-    ):
-        shards = []
-        for shard_name in data["shard_files"]:
-            shard_path = path.parent / shard_name
-            try:
-                shard_data = json.loads(shard_path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise SerializationError(
-                    f"cannot load shard payload {shard_path} referenced by "
-                    f"manifest {path}: {exc}"
-                ) from exc
-            shards.append(index_from_dict(shard_data, strict=strict))
-        return ShardedFragmentIndex(shards)
     return index_from_dict(data, strict=strict)

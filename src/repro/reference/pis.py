@@ -32,14 +32,11 @@ class _UncachedIndex:
     """Read-only view of a fragment index that bypasses every memo cache.
 
     Fragments are enumerated afresh and range queries scan each class's
-    backend, never the vector store.  A sharded index is read as the union
-    of its shards (graph ids are disjoint across shards), so one view
-    covers both topologies.
+    backend, never the vector store.
     """
 
     def __init__(self, index):
         self._index = index
-        self._shards = list(getattr(index, "shards", [index]))
         self.measure = index.measure
 
     @property
@@ -50,18 +47,12 @@ class _UncachedIndex:
         return self._index.live_graph_ids()
 
     def enumerate_query_fragments(self, query: LabeledGraph) -> List[QueryFragment]:
-        # Every shard indexes the same feature classes, so shard 0 answers.
-        return self._shards[0].compute_query_fragments(query)
+        return self._index.compute_query_fragments(query)
 
     def range_query(self, fragment: QueryFragment, sigma: float) -> Dict[int, float]:
-        merged: Dict[int, float] = {}
-        for shard in self._shards:
-            merged.update(
-                shard.get_class(fragment.code).backend.range_query(
-                    tuple(fragment.sequence), sigma
-                )
-            )
-        return merged
+        return self._index.get_class(fragment.code).backend.range_query(
+            tuple(fragment.sequence), sigma
+        )
 
 
 class ReferenceSearch(SearchStrategy):
@@ -72,8 +63,7 @@ class ReferenceSearch(SearchStrategy):
     database:
         The graph database candidates are verified against.
     index:
-        A built :class:`~repro.index.FragmentIndex` or
-        :class:`~repro.index.ShardedFragmentIndex`.  Only read, never
+        A built :class:`~repro.index.FragmentIndex`.  Only read, never
         through its caches.
     epsilon / cutoff_lambda / partition_method / partition_k:
         The filtering parameters of :class:`~repro.search.pis.PISearch`.

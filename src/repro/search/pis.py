@@ -147,8 +147,8 @@ class PISearch(SearchStrategy):
         """The query planner (lazily built over the strategy's own index).
 
         The engine injects its own :class:`~repro.search.planner
-        .GlobalPlanner` here so the unsharded strategy, the scatter path,
-        and cache warming all share one plan cache.
+        .GlobalPlanner` here so searches, explain and cache warming all
+        share one plan cache.
         """
         if self._planner is None:
             self._planner = GlobalPlanner(
@@ -176,36 +176,25 @@ class PISearch(SearchStrategy):
     # ------------------------------------------------------------------
     # filtering (Algorithm 2)
     # ------------------------------------------------------------------
-    def filter_candidates(
-        self,
-        query: LabeledGraph,
-        sigma: float,
-        plan: Optional[QueryPlan] = None,
-    ) -> FilterOutcome:
+    def filter_candidates(self, query: LabeledGraph, sigma: float) -> FilterOutcome:
         """Run the partition-based filtering phase and return its outcome.
 
-        The phase splits into :meth:`plan` + :meth:`execute_plan`; a
-        caller-supplied ``plan`` (the scatter path) skips planning
-        entirely.  The single-pass form of the same phase lives in
+        The phase splits into :meth:`plan` + :meth:`execute_plan`.  The
+        single-pass form of the same phase lives in
         :class:`repro.reference.ReferenceSearch` and produces identical
         candidates, distances, and lower bounds.
         """
-        if plan is None:
-            plan = self.plan_query(query, sigma)
-        return self.execute_plan(plan)
+        return self.execute_plan(self.plan_query(query, sigma))
 
     def execute_plan(self, plan: QueryPlan) -> FilterOutcome:
         """Execute a precomputed :class:`QueryPlan` against this index.
 
-        The plan already carries the *global* filtering outcome — the
-        intersected structure-candidate set and every candidate's Eq. 2
-        lower bound, both computed once by the planner — so execution is a
-        restriction of that outcome to this index's live graph ids.  Over
-        the index the plan was computed on this is byte-identical to the
-        single-pass reference filter; on a shard it is exactly the
-        global outcome restricted to the shard's slice (shards partition
-        the live ids, so the restricted candidate sets are disjoint and the
-        restricted reports sum back to the global one).
+        The plan already carries the filtering outcome — the intersected
+        structure-candidate set and every candidate's Eq. 2 lower bound,
+        both computed once by the planner — so execution is a restriction
+        of that outcome to this index's live graph ids.  Over the index the
+        plan was computed on this is byte-identical to the single-pass
+        reference filter.
         """
         with self.counters.timer("filter"):
             return self._execute_plan(plan)
@@ -222,7 +211,7 @@ class PISearch(SearchStrategy):
 
         if plan.structure_candidates is None:
             # No indexed fragment occurs in the query: the index cannot
-            # prune anything and every locally live graph stays a candidate.
+            # prune anything and every live graph stays a candidate.
             candidate_ids: List[int] = self._all_graph_ids()
         else:
             live = self._live_id_set()
@@ -234,10 +223,10 @@ class PISearch(SearchStrategy):
 
         report.num_structure_candidates = len(candidate_ids)
 
-        # The Eq. 2 sweep already ran globally; partition report fields are
-        # stated exactly when it did (``plan.partition_applied``), matching
-        # the single-pass filter's ``if eligible and candidate_ids`` guard on
-        # the global candidate set.
+        # The Eq. 2 sweep already ran in the planner; partition report
+        # fields are stated exactly when it did (``plan.partition_applied``),
+        # matching the single-pass filter's ``if eligible and candidate_ids``
+        # guard.
         partition: Optional[PartitionResult] = None
         lower_bounds: Dict[int, float] = {}
         if plan.partition_applied:
@@ -269,8 +258,8 @@ class PISearch(SearchStrategy):
     def _live_id_set(self) -> FrozenSet[int]:
         """This index's live graph ids as a set, memoized per generation.
 
-        Plan execution restricts the plan's global candidate sets by
-        membership here; mutations bump the index generation, dropping the
+        Plan execution restricts the plan's candidate set by membership
+        here; mutations bump the index generation, dropping the
         memo, so a stale id can never pass the restriction.
         """
         generation = self.index.generation

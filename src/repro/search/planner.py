@@ -1,33 +1,25 @@
-"""Global query planner: plan the filtering phase once, execute anywhere.
+"""Global query planner: plan the filtering phase once per query.
 
 Algorithm 2 interleaves two very different kinds of work: *planning*
 (enumerate the query's indexed fragments, estimate their selectivities,
 solve the MWIS partition) and *execution* (range queries, candidate-set
 intersection, the Eq. 2 lower-bound sweep).  Planning depends only on the
-query, the threshold, and global database statistics — never on which
-shard the work runs on — yet the scatter-gather engine historically
-re-planned on every shard, multiplying the planning cost by the shard
-count and, worse, letting shards pick *different* partitions because each
-estimated selectivity with its shard-local ``n``.
-
-This module hoists planning into a single global step:
+query, the threshold, and database statistics, so this module makes it one
+cached step:
 
 * :class:`QueryPlan` — an immutable, picklable description of the
   filtering phase for one ``(query, sigma)``: the ordered fragments, their
-  global selectivities, the positions surviving the epsilon floor, the
-  MWIS partition, a candidate-count estimate — and the *globally computed
-  filtering outcome itself* (the intersected structure-candidate set and
-  the Eq. 2 lower bound of every structure candidate).  The engine
-  computes it once and ships it to every shard task, whose execution
-  shrinks to restricting the global outcome to the shard's live ids.
-* :class:`GlobalPlanner` — builds plans from *merged* range results
-  (``range_query`` of an unsharded :class:`~repro.index.FragmentIndex`
-  or, merged across shards, of a ``ShardedFragmentIndex``): the correct
-  global ``n`` and exactly-rounded global distance sums (:func:`math.fsum`
-  is order-independent), so the plan — and therefore every downstream
-  candidate set and report — is bit-identical whether the database lives
-  in one index or sixty-four shards.  Plans are memoized in a bounded
-  :class:`~repro.perf.MemoCache` keyed
+  selectivities, the positions surviving the epsilon floor, the MWIS
+  partition, a candidate-count estimate — and the *filtering outcome
+  itself* (the intersected structure-candidate set and the Eq. 2 lower
+  bound of every structure candidate).  Executing a plan shrinks to
+  restricting that outcome to the index's live ids.
+* :class:`GlobalPlanner` — builds plans from the
+  :class:`~repro.index.FragmentIndex` range results: the live-graph count
+  ``n`` and exactly-rounded distance sums (:func:`math.fsum`), so the
+  plan — and therefore every downstream candidate set and report — is
+  bit-identical to the single-pass reference filter.  Plans are memoized
+  in a bounded :class:`~repro.perf.MemoCache` keyed
   ``(graph_signature(query), sigma, cutoff_lambda, index.generation)``:
   mutations bump the generation, so stale plans can never hit.
 
@@ -67,8 +59,7 @@ class QueryPlan:
     generation:
         Index generation at planning time; a mutation invalidates the plan.
     num_database_graphs:
-        The global live-graph count ``n`` used as the selectivity
-        denominator — *not* any shard-local size.
+        The live-graph count ``n`` used as the selectivity denominator.
     fragments:
         The query's indexed fragments, in enumeration order.  Range-query
         positions in ``eligible`` / ``partition_positions`` index into this
@@ -86,25 +77,26 @@ class QueryPlan:
     estimated_candidates:
         The cost model's candidate-count estimate (see module docstring).
     structure_candidates:
-        The *global* structure-candidate set (Algorithm 2's intersection of
+        The structure-candidate set (Algorithm 2's intersection of
         the per-fragment range results), ascending.  ``None`` means the
         query contained no indexed fragment, so the index cannot prune —
         executors fall back to every locally live graph id.
     lower_bounds:
-        Eq. 2 lower bound per global structure candidate.  Populated
+        Eq. 2 lower bound per structure candidate.  Populated
         exactly when ``partition_applied``; the final candidates are the
         entries with ``bound <= sigma``.  Treat as read-only.
     partition_applied:
-        Whether the Eq. 2 sweep ran globally (an eligible partition *and* a
+        Whether the Eq. 2 sweep ran (an eligible partition *and* a
         non-empty structure-candidate set).  Executors state the partition
         report fields exactly when this is set, mirroring the legacy
         single-pass guard.
     fragment_distances:
-        The global per-fragment range-query results backing the plan, in
-        fragment order.  Local executors surface them through
+        The per-fragment range-query results backing the plan, in fragment
+        order.  Executors surface them through
         :class:`~repro.search.pis.FilterOutcome`; they are **stripped when
-        the plan is pickled** (process-executor shards need only the
-        computed outcome, not the raw maps), so a shipped plan stays small.
+        the plan is pickled** (a result returned from a process-executor
+        worker needs only the computed outcome, not the raw maps), so a
+        shipped plan stays small.
     """
 
     query_signature: Any
@@ -126,7 +118,7 @@ class QueryPlan:
 
     def __getstate__(self) -> Dict[str, Any]:
         # The raw range-query maps can dwarf the outcome they produced;
-        # shard tasks only need the outcome, so pickles drop the maps.
+        # a pickled plan only needs the outcome, so pickles drop the maps.
         state = dict(self.__dict__)
         state["fragment_distances"] = ()
         return state
@@ -209,12 +201,10 @@ class GlobalPlanner:
     Parameters
     ----------
     index:
-        The index to plan over — an unsharded
-        :class:`~repro.index.FragmentIndex` or a
-        :class:`~repro.index.ShardedFragmentIndex`; both expose
+        The :class:`~repro.index.FragmentIndex` to plan over; its
         ``enumerate_query_fragments``, ``range_query``,
-        ``num_live_graphs``, and ``generation``, which is the planner's
-        entire index contract.
+        ``num_live_graphs``, and ``generation`` are the planner's entire
+        index contract.
     epsilon / cutoff_lambda / partition_method / partition_k:
         The pruning parameters, identical in meaning to
         :class:`~repro.search.pis.PISearch`.
@@ -300,12 +290,9 @@ class GlobalPlanner:
         )
         fragments = tuple(self.index.enumerate_query_fragments(query))
 
-        # One (merged) range query per fragment.  For a sharded index this
-        # is the single point where shard-local information crosses into
-        # the (topology-independent) plan: the merged maps carry the global
-        # T sets, and math.fsum over them is exactly rounded — therefore
-        # order-independent — so the selectivities below are bit-identical
-        # to what an unsharded index computes over the same database.
+        # One range query per fragment.  math.fsum over the maps is
+        # exactly rounded — therefore order-independent — so the
+        # selectivities below are bit-identical to the reference filter's.
         start = time.perf_counter()
         distance_maps: Tuple[Dict[int, float], ...] = tuple(
             self.index.range_query(fragment, sigma) for fragment in fragments

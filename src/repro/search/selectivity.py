@@ -81,9 +81,9 @@ class SelectivityEstimator:
         """Selectivity from a ``{graph_id: distance}`` range-query result.
 
         The matched-distance sum uses :func:`math.fsum`, which is exactly
-        rounded and therefore independent of summation order: a global
-        planner summing per-shard statistics produces bit-identical weights
-        to an unsharded estimator walking the same distances.
+        rounded and therefore independent of summation order: the planner
+        and the reference filter produce bit-identical weights whatever
+        order they walk the same distances in.
         """
         return self.from_statistics(
             len(distances), math.fsum(distances.values())
@@ -94,10 +94,8 @@ class SelectivityEstimator:
     ) -> FragmentSelectivity:
         """Selectivity from pre-aggregated range-result statistics.
 
-        This is the planner-facing entry point: shards report
-        ``(|T|, sum of matched distances)`` pairs and the global planner
-        merges them before calling here with the global database size as
-        ``n`` — the full distance maps never have to leave the shards.
+        Takes the ``(|T|, sum of matched distances)`` pair of one fragment,
+        with the live database size as ``n``.
         """
         matched = int(num_matching_graphs)
         if self.num_graphs == 0:

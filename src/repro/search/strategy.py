@@ -219,7 +219,6 @@ class SearchStrategy:
         query: LabeledGraph,
         sigma: float,
         verify_workers: Optional[int] = None,
-        plan=None,
     ) -> SearchResult:
         """Run filtering + verification and time the two phases.
 
@@ -232,12 +231,6 @@ class SearchStrategy:
         verify_workers:
             Worker-pool size for parallel verification of this one query
             (``None`` = the strategy's configured default).
-        plan:
-            An externally computed :class:`~repro.search.planner.QueryPlan`
-            to execute (the scatter path plans once on the driver and ships
-            the plan to every shard).  ``None`` asks the strategy to plan
-            for itself via :meth:`plan_query`; strategies that do not plan
-            run their :meth:`_filter` path.
 
         Returns
         -------
@@ -247,8 +240,9 @@ class SearchStrategy:
         """
         before = self.counters.snapshot()
         start = time.perf_counter()
-        if plan is None:
-            plan = self.plan_query(query, sigma)
+        # Planning strategies split filtering into plan + execute; the
+        # others return no plan and run their :meth:`_filter` path.
+        plan = self.plan_query(query, sigma)
         if plan is not None:
             candidate_ids, report, lower_bounds = self._execute(plan)
         else:
@@ -267,9 +261,8 @@ class SearchStrategy:
 
         # Both report fields are (re)stated here so every strategy — base
         # template or PIS override — populates them identically.  A planned
-        # execution already carries the *global* database size from the
-        # plan; overwriting it with the strategy-local view would reintroduce
-        # the shard-local-denominator bug the planner exists to fix.
+        # execution already carries the database size the plan's
+        # selectivities were computed with; it is kept as is.
         if not report.num_database_graphs:
             report.num_database_graphs = self._database_size()
         report.num_candidates = len(candidate_ids)

@@ -19,8 +19,8 @@ Properties:
   again (``Engine.add_graphs`` wrapping ``FragmentIndex.add_graph``).
   A reentrant reader also ignores a waiting writer, so nesting can never
   self-deadlock.
-* **Pickle-safe** — executors ship shard indexes to worker processes;
-  the manager's locks are recreated on unpickle (epoch number preserved,
+* **Pickle-safe** — the process executor ships the engine and its index
+  to worker processes; the manager's locks are recreated on unpickle (epoch number preserved,
   pins reset — a worker process starts with no in-flight operations).
 """
 

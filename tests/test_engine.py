@@ -20,6 +20,7 @@ from repro import (
     make_selector,
     make_strategy,
 )
+from repro.index import index_from_dict, index_to_dict, load_index
 from repro.core import (
     EngineConfigError,
     EngineError,
@@ -85,6 +86,15 @@ class TestEngineConfig:
         with pytest.raises(TypeError):
             EngineConfig(kernel="array")
 
+    def test_retired_shards_key_is_dropped(self):
+        # Engine documents written while the engine could be sharded carry
+        # "shards"; they still load, but the knob itself is gone.
+        written_before = dict(CONFIG.to_dict(), shards=1)
+        assert EngineConfig.from_dict(written_before) == CONFIG
+        assert "shards" not in CONFIG.to_dict()
+        with pytest.raises(TypeError):
+            EngineConfig(shards=4)
+
     def test_bad_field_types_rejected(self):
         with pytest.raises(EngineConfigError):
             EngineConfig(selector="")
@@ -92,6 +102,8 @@ class TestEngineConfig:
             EngineConfig(selector_params=["max_edges"])
         with pytest.raises(EngineConfigError):
             EngineConfig(measure="mutation")
+        with pytest.raises(EngineConfigError):
+            EngineConfig(executor="")
 
     def test_live_measure_normalised_to_spec(self):
         config = EngineConfig(measure=default_edge_mutation_distance())
@@ -317,6 +329,52 @@ class TestEnginePersistence:
             reloaded.search(queries[0], 1).answer_ids
             == engine.search(queries[0], 1).answer_ids
         )
+
+    def test_load_engine_saved_with_shards_field(self, tmp_path, database, engine, queries):
+        path = tmp_path / "engine.json"
+        engine.save(path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["config"]["shards"] = 1
+        path.write_text(json.dumps(document), encoding="utf-8")
+        reloaded = Engine.load(path, database)
+        assert reloaded.config == engine.config
+        for query in queries:
+            original = engine.search(query, 1)
+            from_disk = reloaded.search(query, 1)
+            assert original.answer_ids == from_disk.answer_ids
+            assert original.candidate_ids == from_disk.candidate_ids
+            assert original.answer_distances == from_disk.answer_distances
+
+    @pytest.mark.parametrize("key", ["sharding", "shards", "shard_files"])
+    def test_sharded_index_documents_fail_loudly(self, tmp_path, database, engine, key):
+        """An index saved by a sharded engine asks for a rebuild."""
+        shard = index_to_dict(engine.index)
+        manifest = {
+            "format": "pis-fragment-index",
+            "version": 4,
+            "measure": shard["measure"],
+            "backend": shard["backend"],
+            "backend_options": shard["backend_options"],
+            "num_graphs": shard["num_graphs"],
+            key: {
+                "sharding": {"num_shards": 1, "assignment": "modulo"},
+                "shards": [shard],
+                "shard_files": ["index.shard0.json"],
+            }[key],
+        }
+        with pytest.raises(SerializationError, match="pis index"):
+            index_from_dict(manifest)
+        index_path = tmp_path / "index.json"
+        index_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(SerializationError, match="pis index"):
+            load_index(index_path)
+        engine_path = tmp_path / "engine.json"
+        engine.save(engine_path)
+        document = json.loads(engine_path.read_text(encoding="utf-8"))
+        document["index"] = dict(manifest, version=5, wal={"committed_lsn": 0})
+        engine_path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(SerializationError, match="pis index"):
+            Engine.load(engine_path, database)
 
     def test_load_rejects_wrong_database(self, tmp_path, database, engine):
         path = tmp_path / "engine.json"

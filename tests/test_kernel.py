@@ -5,7 +5,7 @@ threshold) combination it must return exactly the distance the recursive
 search (:func:`repro.core.superimposed.recursive_superposition`) returns —
 including ``inf`` — and a whole engine running on the kernel must produce
 byte-identical answer sets to the reference path of :mod:`repro.reference`
-(recursive search, legacy verifier), sharded or not.  The suite sweeps random graph pairs
+(recursive search, legacy verifier).  The suite sweeps random graph pairs
 across both paper measures, the include-vertices/include-edges subsets,
 and every search mode (plain, threshold, ``stop_at_threshold``,
 ``known_lower_bound``).
@@ -287,8 +287,9 @@ def _answers_payload(search, queries, sigmas):
 class TestEngineByteIdentity:
     """End-to-end: the kernel engine and the reference path agree."""
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_answers_identical_across_kernels(self, shards):
+    @pytest.mark.parametrize("verify_workers", [1, 4])
+    def test_answers_identical_across_kernels(self, verify_workers):
+        """Same answers on one verify worker and on a 4-way candidate split."""
         database = _build_database()
         rng = random.Random(77)
         queries = []
@@ -299,8 +300,10 @@ class TestEngineByteIdentity:
                 queries.append(query)
         sigmas = [0.0, 1.5, 4.0]
 
-        engine = Engine.build(database, EngineConfig(shards=shards))
+        engine = Engine.build(database, EngineConfig(verify_workers=verify_workers))
         array = _answers_payload(engine.search, queries, sigmas)
+        parallel = engine.profile()["counters"].get("verify.parallel_batches", 0.0)
+        assert (parallel > 0) == (verify_workers > 1)
 
         # the reference path (recursive search, legacy verifier, no caches)
         # over the same index agrees — the pre-kernel behaviour is intact

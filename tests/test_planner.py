@@ -2,14 +2,14 @@
 
 Covers :class:`repro.search.planner.GlobalPlanner` /
 :class:`~repro.search.planner.QueryPlan` (plan-once caching, generation
-keying, pickling), the global selectivities (planned over an unsharded
-and a 4-shard index — bit-identical), the plan/execute split in
+keying, pickling), the plan/execute split in
 :class:`~repro.search.pis.PISearch` (byte-identical outcomes to the
-legacy filter), the randomized property test — planned sharded search
-byte-identical (ids + distances + reports) to unsharded across 1/2/4
-shard topologies with interleaved add/remove mutations, and answer-
-identical to the single-pass reference search of :mod:`repro.reference`
-— the global ``num_database_graphs`` report fix, cache warming
+legacy filter), the randomized property test — after interleaved
+add/remove mutations, planned search is byte-identical (ids + distances +
+reports) to a rebuild over the same features, and answer-identical to the
+single-pass reference search of :mod:`repro.reference` — the
+``num_database_graphs`` report field, plans shipped through every
+executor, cache warming
 (:meth:`Engine.warm`), ``Engine.explain``, the ``plan_cache`` serving
 stats, and the ``pis explain`` / ``pis serve --warm`` CLI surface.
 """
@@ -24,13 +24,11 @@ import random
 import pytest
 
 from repro.cli import _load_warm_queries, main as cli_main
-from repro.core import GraphDatabase, default_edge_mutation_distance
 from repro.core.errors import EngineConfigError
 from repro.datasets.generator import generate_chemical_database
 from repro.datasets.queries import QueryWorkload
 from repro.engine import Engine, EngineConfig
-from repro.index import FragmentIndex, ShardedFragmentIndex
-from repro.mining.exhaustive import ExhaustiveFeatureSelector
+from repro.index import FragmentIndex
 from repro.reference import ReferenceSearch
 from repro.search import GlobalPlanner, PISearch, QueryPlan
 
@@ -42,10 +40,6 @@ SELECTOR_PARAMS = {
 }
 
 CONFIG = dict(selector="exhaustive", selector_params=dict(SELECTOR_PARAMS))
-
-
-def chem_features(database):
-    return ExhaustiveFeatureSelector(**SELECTOR_PARAMS).select(database)
 
 
 def answers_payload(result):
@@ -70,13 +64,9 @@ def database():
 
 
 @pytest.fixture(scope="module")
-def engines(database):
-    """(unsharded, 2-shard, 4-shard) engines over copies of one database."""
-    config = EngineConfig(**CONFIG)
-    return tuple(
-        Engine.build(copy.deepcopy(database), config, shards=shards)
-        for shards in (1, 2, 4)
-    )
+def plain(database):
+    """An engine over a copy of the module database."""
+    return Engine.build(copy.deepcopy(database), EngineConfig(**CONFIG))
 
 
 @pytest.fixture(scope="module")
@@ -85,46 +75,10 @@ def queries(database):
 
 
 # ----------------------------------------------------------------------
-# global fragment statistics: one fsum, identical across topologies
-# ----------------------------------------------------------------------
-class TestFragmentStatistics:
-    @pytest.fixture(scope="class")
-    def indexes(self, database):
-        features = chem_features(database)
-        measure = default_edge_mutation_distance()
-        unsharded = FragmentIndex(features, measure, backend="trie").build(database)
-        sharded = ShardedFragmentIndex.build(
-            database, features, measure, num_shards=4, backend="trie"
-        )
-        return unsharded, sharded
-
-    def test_sharded_bit_identical_to_unsharded(self, indexes, database):
-        """The selectivity inputs — count and exact sum — never drift.
-
-        The sharded index merges every shard's range results before the
-        planner takes ONE global fsum (fsum of per-shard fsums would
-        differ in the last bit), so the selectivities, and therefore the
-        MWIS partition, are identical on every topology.
-        """
-        unsharded, sharded = indexes
-        query = QueryWorkload(database, seed=5).sample_queries(5, 1)[0]
-        for sigma in (1.0, 2.0, 3.0):
-            single = GlobalPlanner(unsharded).plan(query, sigma)
-            merged = GlobalPlanner(sharded).plan(query, sigma)
-            assert single.fragments
-            assert merged.fragments == single.fragments
-            assert merged.selectivities == single.selectivities
-            assert merged.partition_positions == single.partition_positions
-            assert merged.structure_candidates == single.structure_candidates
-            assert merged.lower_bounds == single.lower_bounds
-
-
-# ----------------------------------------------------------------------
 # GlobalPlanner: caching, generation keying, pickling, plan execution
 # ----------------------------------------------------------------------
 class TestGlobalPlanner:
-    def test_repeated_planning_hits_the_cache(self, engines, queries):
-        plain, _, _ = engines
+    def test_repeated_planning_hits_the_cache(self, plain, queries):
         planner = plain.planner
         assert isinstance(planner, GlobalPlanner)
         hits_before = planner.cache_stats()["hits"]
@@ -153,9 +107,8 @@ class TestGlobalPlanner:
         assert second is not first
         assert second.generation > first.generation
 
-    def test_plan_disabled_without_cache_optimizations(self, engines, queries):
+    def test_plan_disabled_without_cache_optimizations(self, plain, queries):
         """The single-pass reference filter runs without a plan."""
-        plain, _, _ = engines
         result = ReferenceSearch(plain.database, plain.index).search(queries[0], 2.0)
         assert result.report.planned is False
         assert result.plan is None
@@ -163,8 +116,7 @@ class TestGlobalPlanner:
         assert planned.report.planned is True
         assert planned.answer_ids == result.answer_ids
 
-    def test_plan_pickles_and_executes_identically(self, engines, queries):
-        plain, _, _ = engines
+    def test_plan_pickles_and_executes_identically(self, plain, queries):
         strategy = plain.strategy
         assert isinstance(strategy, PISearch)
         plan = strategy.plan(queries[0], 2.0)
@@ -175,9 +127,8 @@ class TestGlobalPlanner:
         assert replayed.candidate_ids == original.candidate_ids
         assert replayed.report.as_dict() == original.report.as_dict()
 
-    def test_planned_outcome_matches_legacy_filter(self, engines, queries):
+    def test_planned_outcome_matches_legacy_filter(self, plain, queries):
         """The plan/execute split is a pure refactor of the filter phase."""
-        plain, _, _ = engines
         strategy = plain.strategy
         for query in queries:
             for sigma in (1.0, 2.0):
@@ -196,8 +147,7 @@ class TestGlobalPlanner:
                     legacy_report.pop(field)
                 assert planned_report == legacy_report
 
-    def test_plan_as_dict_is_json_friendly(self, engines, queries):
-        plain, _, _ = engines
+    def test_plan_as_dict_is_json_friendly(self, plain, queries):
         plan = plain.planner.plan(queries[0], 2.0)
         document = json.loads(json.dumps(plan.as_dict()))
         assert document["num_database_graphs"] == len(plain.database)
@@ -206,25 +156,20 @@ class TestGlobalPlanner:
 
 
 # ----------------------------------------------------------------------
-# global report fields: the shard-local denominator bug stays fixed
+# report fields: the planned search states the live database size
 # ----------------------------------------------------------------------
 class TestGlobalReportFields:
-    def test_sharded_report_counts_global_graphs(self, engines, queries):
-        plain, two, four = engines
+    def test_report_counts_global_graphs(self, plain, queries):
         expected = len(plain.database)
-        for engine in (two, four):
-            result = engine.search(queries[0], 2.0)
-            assert result.report.num_database_graphs == expected
-            assert result.report.planned is True
-            assert result.plan is not None
-        # The reference path reads the sharded index as one global index,
-        # so its report states the global database size too.
-        legacy = ReferenceSearch(four.database, four.index).search(queries[0], 2.0)
+        result = plain.search(queries[0], 2.0)
+        assert result.report.num_database_graphs == expected
+        assert result.report.planned is True
+        assert result.plan is not None
+        legacy = ReferenceSearch(plain.database, plain.index).search(queries[0], 2.0)
         assert legacy.report.num_database_graphs == expected
         assert legacy.report.planned is False
 
-    def test_report_round_trips_planner_fields(self, engines, queries):
-        plain, _, _ = engines
+    def test_report_round_trips_planner_fields(self, plain, queries):
         result = plain.search(queries[0], 2.0)
         document = result.report.as_dict()
         assert document["planned"] is True
@@ -232,83 +177,67 @@ class TestGlobalReportFields:
 
 
 # ----------------------------------------------------------------------
-# the property test: planned sharded == unsharded, byte for byte
+# the property test: planned search after mutations == rebuild, byte for byte
 # ----------------------------------------------------------------------
 def planner_scenario(seed):
-    """One random add/remove interleaving applied to 1/2/4-shard engines."""
+    """One random add/remove interleaving, then planned vs rebuilt search."""
     base = generate_chemical_database(14, seed=seed)
-    config = EngineConfig(**CONFIG)
-    engines = tuple(
-        Engine.build(copy.deepcopy(base), config, shards=shards)
-        for shards in (1, 2, 4)
-    )
-    plain = engines[0]
+    plain = Engine.build(copy.deepcopy(base), EngineConfig(**CONFIG))
     pool = iter(generate_chemical_database(6, seed=seed + 100))
     rng = random.Random(seed)
     for _ in range(8):
         live = plain.database.graph_ids()
         if rng.random() < 0.5 and len(live) > 6:
-            victim = rng.choice(live)
-            for engine in engines:
-                engine.remove_graphs([victim])
+            plain.remove_graphs([rng.choice(live)])
         else:
             try:
                 graph = next(pool)
             except StopIteration:
-                victim = rng.choice(live)
-                for engine in engines:
-                    engine.remove_graphs([victim])
+                plain.remove_graphs([rng.choice(live)])
                 continue
-            reuse = rng.random() < 0.5
-            assigned = plain.add_graphs([graph], reuse_ids=reuse)
-            for engine in engines[1:]:
-                assert engine.add_graphs([graph], reuse_ids=reuse) == assigned
+            plain.add_graphs([graph], reuse_ids=rng.random() < 0.5)
 
+    # A from-scratch index over the mutated database, with the same
+    # features: incremental updates must leave nothing to tell them apart.
+    features = [class_index.skeleton for class_index in plain.index.classes()]
+    rebuilt = Engine.from_index(
+        plain.database,
+        FragmentIndex(features, plain.measure, backend=plain.index.backend_name)
+        .build(plain.database),
+        config=plain.config,
+    )
     queries = QueryWorkload(plain.database, seed=seed + 1).sample_queries(4, 2)
     for query in queries:
         for sigma in (1.0, 2.0):
-            reference = full_payload(plain.search(query, sigma))
-            for engine in engines[1:]:
-                result = engine.search(query, sigma)
-                assert result.report.planned, (seed, sigma)
-                assert full_payload(result) == reference, (seed, sigma)
-            # The single-pass reference search over every topology's index
-            # agrees on ids, distances and candidates.
-            legacy = [
-                full_payload(
-                    ReferenceSearch(engine.database, engine.index).search(
-                        query, sigma
-                    )
-                )
-                for engine in engines
-            ]
-            assert [payload[:3] for payload in legacy] == [reference[:3]] * 3, (
+            result = plain.search(query, sigma)
+            assert result.report.planned, (seed, sigma)
+            reference = full_payload(result)
+            assert full_payload(rebuilt.search(query, sigma)) == reference, (
                 seed,
                 sigma,
             )
+            # The single-pass reference search over the mutated index
+            # agrees on ids, distances and candidates.
+            legacy = full_payload(
+                ReferenceSearch(plain.database, plain.index).search(query, sigma)
+            )
+            assert legacy[:3] == reference[:3], (seed, sigma)
 
 
 class TestPlannedEquivalence:
     @pytest.mark.parametrize("seed", [17, 29])
-    def test_planned_sharded_byte_identical_across_topologies(self, seed):
+    def test_planned_byte_identical_after_mutations(self, seed):
         planner_scenario(seed)
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_executors_ship_the_same_plan(self, engines, queries, executor):
-        plain, _, four = engines
-        four.config = four.config.replace(executor=executor)
-        try:
-            for query in queries:
-                reference = full_payload(plain.search(query, 2.0))
-                result = four.search(query, 2.0)
-                assert result.report.planned
-                assert full_payload(result) == reference
-        finally:
-            four.config = four.config.replace(executor="thread")
+    def test_executors_ship_the_same_plan(self, plain, queries, executor):
+        batch = plain.search_many(queries, 2.0, workers=2, executor=executor)
+        for query, result in zip(queries, batch):
+            assert result.report.planned
+            assert full_payload(result) == full_payload(plain.search(query, 2.0))
 
-    def test_search_many_ships_plans(self, engines, queries):
-        plain, _, four = engines
-        batch = four.search_many(queries, 2.0)
+    def test_search_many_ships_plans(self, plain, queries):
+        batch = plain.search_many(queries, 2.0)
         for query, result in zip(queries, batch):
             assert result.report.planned
             assert full_payload(result) == full_payload(plain.search(query, 2.0))
@@ -331,8 +260,7 @@ class TestWarmAndExplain:
         engine = Engine.build(copy.deepcopy(database), EngineConfig(**CONFIG))
         assert engine.warm(queries) == {"queries": len(queries), "plans": 0}
 
-    def test_explain_reports_plan_and_actuals(self, engines, queries):
-        plain, _, _ = engines
+    def test_explain_reports_plan_and_actuals(self, plain, queries):
         document = plain.explain(queries[0], 2.0)
         assert document["planned"] is True
         assert document["plan"]["num_database_graphs"] == len(plain.database)
@@ -343,12 +271,10 @@ class TestWarmAndExplain:
         assert document["plan_cache"]["name"] == "plan"
         json.dumps(document)  # JSON-friendly end to end
 
-    def test_serving_stats_expose_plan_cache(self, engines):
-        plain, _, four = engines
-        for engine in (plain, four):
-            stats = engine.serving_stats()
-            assert stats["plan_cache"]["name"] == "plan"
-            assert stats["plan_cache"]["maxsize"] == engine.config.plan_cache_size
+    def test_serving_stats_expose_plan_cache(self, plain):
+        stats = plain.serving_stats()
+        assert stats["plan_cache"]["name"] == "plan"
+        assert stats["plan_cache"]["maxsize"] == plain.config.plan_cache_size
 
     def test_zero_plan_cache_answers_like_default(self, database, queries):
         # plan_cache_size=0 used to crash the first search ("maxsize must be
@@ -389,7 +315,6 @@ class TestPlannerCLI:
                 "index",
                 "--database", str(db_path),
                 "--max-edges", "3",
-                "--shards", "2",
                 "--engine-output", str(engine_path),
             ]
         ) == 0

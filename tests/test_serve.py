@@ -187,7 +187,7 @@ def test_engine_start_respects_cache_size_zero(engine, serve_queries):
 
 
 def test_started_engine_reuses_executors(serve_database, serve_queries, monkeypatch):
-    engine = Engine.build(serve_database, shards=2, executor="thread")
+    engine = Engine.build(serve_database)
     calls = []
     real = facade_module.make_executor
 
@@ -197,12 +197,12 @@ def test_started_engine_reuses_executors(serve_database, serve_queries, monkeypa
 
     monkeypatch.setattr(facade_module, "make_executor", counting)
     with engine:
-        for query in serve_queries[:3]:
-            engine.search(query, 5.0)
-        # One resident pool serves every scatter; without start() each
-        # search would construct its own executor.
+        for _ in range(3):
+            engine.search_many(serve_queries[:3], 5.0, workers=2, executor="thread")
+        # One resident pool serves every batch; without start() each
+        # batch would construct its own executor.
         assert calls == ["thread"]
-        pool = engine._resident_executors[("thread", 2, True)]
+        pool = engine._resident_executors[("thread", 2)]
         assert pool.started
     assert not pool.started  # close() shuts the resident pool down
 

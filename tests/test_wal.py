@@ -315,12 +315,10 @@ class TestEpochManager:
 # ----------------------------------------------------------------------
 # engine-level durability: WAL + replay + checkpoint
 # ----------------------------------------------------------------------
-def durable_engine(tmp_path, shards=1):
+def durable_engine(tmp_path):
     """A checkpointed durable engine with its files on disk."""
     database = small_database()
-    config = EngineConfig(
-        selector_params=dict(SELECTOR_PARAMS), shards=shards, durability="wal"
-    )
+    config = EngineConfig(selector_params=dict(SELECTOR_PARAMS), durability="wal")
     engine = Engine.build(database, config)
     engine_path = tmp_path / "engine.json"
     database_path = tmp_path / "db.json"
@@ -432,7 +430,7 @@ def apply_batches(engine, upto):
             engine.add_graphs(delta_graphs(seed=40 + position), reuse_ids=arg)
 
 
-def checkpointed_run(tmp_path, tag, shards, upto):
+def checkpointed_run(tmp_path, tag, upto):
     """Reference files: load from base, apply ``upto`` batches, checkpoint."""
     base = tmp_path / "base"
     run = tmp_path / tag
@@ -450,19 +448,21 @@ def checkpointed_run(tmp_path, tag, shards, upto):
     return run, engine
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_crash_at_every_record_boundary_recovers_exactly(tmp_path, shards):
+@pytest.mark.parametrize("verify_workers", [1, 4])
+def test_crash_at_every_record_boundary_recovers_exactly(tmp_path, verify_workers):
     """Kill after N committed records → recover = the N-batch reference.
 
     For every prefix length N the recovered database and engine files are
     byte-identical to an uninterrupted run that applied exactly N batches,
-    and search answers match — on the unsharded and the 4-shard topology.
+    and search answers match — verified on one worker and on four.
     """
     base = tmp_path / "base"
     base.mkdir()
     database = small_database()
     config = EngineConfig(
-        selector_params=dict(SELECTOR_PARAMS), shards=shards, durability="wal"
+        selector_params=dict(SELECTOR_PARAMS),
+        verify_workers=verify_workers,
+        durability="wal",
     )
     engine = Engine.build(database, config)
     engine.attach_wal(Engine.wal_path_for(base / "engine.json"))
@@ -471,7 +471,7 @@ def test_crash_at_every_record_boundary_recovers_exactly(tmp_path, shards):
 
     for kill_point in range(len(BATCHES) + 1):
         reference_dir, reference_engine = checkpointed_run(
-            tmp_path, f"ref-{kill_point}", shards, kill_point
+            tmp_path, f"ref-{kill_point}", kill_point
         )
         # The crashed run commits kill_point records to the log but dies
         # before any snapshot write — the files on disk stay at base.
@@ -505,21 +505,23 @@ def test_crash_at_every_record_boundary_recovers_exactly(tmp_path, shards):
         )
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_crash_between_database_and_engine_writes(tmp_path, shards):
+@pytest.mark.parametrize("verify_workers", [1, 4])
+def test_crash_between_database_and_engine_writes(tmp_path, verify_workers):
     """The checkpoint's db-first write order leaves a recoverable gap."""
     base = tmp_path / "base"
     base.mkdir()
     database = small_database()
     config = EngineConfig(
-        selector_params=dict(SELECTOR_PARAMS), shards=shards, durability="wal"
+        selector_params=dict(SELECTOR_PARAMS),
+        verify_workers=verify_workers,
+        durability="wal",
     )
     engine = Engine.build(database, config)
     engine.attach_wal(Engine.wal_path_for(base / "engine.json"))
     engine.checkpoint(base / "engine.json", database_path=base / "db.json")
 
     reference_dir, reference_engine = checkpointed_run(
-        tmp_path, "ref", shards, len(BATCHES)
+        tmp_path, "ref", len(BATCHES)
     )
     crash_dir = tmp_path / "crash"
     crash_dir.mkdir()
@@ -550,6 +552,10 @@ def test_crash_between_database_and_engine_writes(tmp_path, shards):
     assert (crash_dir / "engine.json").read_bytes() == (
         reference_dir / "engine.json"
     ).read_bytes()
+    query = delta_graphs(1, seed=5)[0]
+    assert answers_payload(recovered.search(query, 2.0)) == answers_payload(
+        reference_engine.search(query, 2.0)
+    )
 
 
 # ----------------------------------------------------------------------
